@@ -115,9 +115,13 @@ func runProbes(ph *phase, probes []probe, seed uint64, lines map[string][]byte) 
 	return nil
 }
 
-// timedOp runs one batch operation and files its timings in ph.
-func timedOp(ph *phase, op func(onRecord func(dse.Record)) error) (int, error) {
+// timedOp runs one batch operation and files its timings in ph. It times the
+// reference kernel first (calib.go).
+func timedOp(e *env, ph *phase, op func(onRecord func(dse.Record)) error) (int, error) {
 	isolate()
+	if err := e.calibrate(); err != nil {
+		return 0, err
+	}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -219,7 +223,7 @@ func (g *gridCold) measure(e *env, tr *tracer) (*phase, error) {
 		spec := g.spec
 		spec.Checkpoint = filepath.Join(dir, "grid.ckpt")
 		var res *serve.RunResult
-		n, err := timedOp(ph, func(onRecord func(dse.Record)) (err error) {
+		n, err := timedOp(e, ph, func(onRecord func(dse.Record)) (err error) {
 			opt := serve.RunOptions{OnRecord: onRecord}
 			if tr == nil {
 				res, err = serve.Run(ctx, spec, opt)
@@ -230,6 +234,9 @@ func (g *gridCold) measure(e *env, tr *tracer) (*phase, error) {
 			res, err = tr.walker(op.id()).run(ctx, spec, opt)
 			return err
 		})
+		if isCheck(err) {
+			return nil, err
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "perfbench: grid-cold operation failed: %v\n", err)
 			continue
@@ -330,7 +337,7 @@ func (s *searchWarm) measure(e *env, tr *tracer) (*phase, error) {
 		spec.TraceDir = s.store
 		opt := serve.RunOptions{Cache: &serve.Cache{Dir: filepath.Join(dir, "cache")}}
 		var res *serve.RunResult
-		n, err := timedOp(ph, func(onRecord func(dse.Record)) (err error) {
+		n, err := timedOp(e, ph, func(onRecord func(dse.Record)) (err error) {
 			opt.OnRecord = onRecord
 			if tr == nil {
 				res, err = serve.RunSearch(ctx, spec, opt)
@@ -339,6 +346,9 @@ func (s *searchWarm) measure(e *env, tr *tracer) (*phase, error) {
 			res, err = tracedSearch(ctx, tr, spec, opt)
 			return err
 		})
+		if isCheck(err) {
+			return nil, err
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "perfbench: search-warm operation failed: %v\n", err)
 			continue

@@ -55,6 +55,10 @@ type daemonMixed struct {
 
 const daemonClients = 2
 
+// daemonRounds splits the closed loop: between rounds the clients pause
+// while the reference kernel runs (calib.go).
+const daemonRounds = 8
+
 func (dm *daemonMixed) setup(e *env) error {
 	dm.close()
 	isolate()
@@ -106,10 +110,8 @@ type clientStats struct {
 	wantCacheHits           int
 	sweepPoints             int
 	jobs                    []string
-	completions             []completion
 	lines                   [][]byte // streamed record lines
 	evals                   []evalCall
-	end                     time.Time
 	// traced
 	submitted map[string]time.Time // job id → POST sent
 	received  map[string]time.Time // job id + record key → line read
@@ -145,40 +147,48 @@ func (dm *daemonMixed) measure(e *env, tr *tracer) (*phase, error) {
 
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: daemonClients * 2}}
 	defer hc.CloseIdleConnections()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c0 := readCounters()
-	start := time.Now()
-	deadline := start.Add(time.Duration(e.opt.seconds * float64(time.Second)))
 	stats := make([]*clientStats, daemonClients)
-	var wg sync.WaitGroup
+	clients := make([]*client, daemonClients)
 	for c := range stats {
 		stats[c] = &clientStats{submitted: map[string]time.Time{}, received: map[string]time.Time{}}
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl := &client{hc: hc, url: d.srv.URL, gen: newSpecGen(e.opt.seed, c, e.opt.tiny), st: stats[c], traced: tr != nil}
-			cl.loop(start, deadline)
-		}(c)
+		clients[c] = &client{hc: hc, url: d.srv.URL, gen: newSpecGen(e.opt.seed, c, e.opt.tiny), st: stats[c], traced: tr != nil}
 	}
-	wg.Wait()
-	runtime.ReadMemStats(&after)
+	ph := &phase{closedLoop: true}
+	c0 := readCounters()
+	roundLen := time.Duration(e.opt.seconds / daemonRounds * float64(time.Second))
+	for r := 0; r < daemonRounds; r++ {
+		if err := e.calibrate(); err != nil {
+			return nil, err
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		deadline := start.Add(roundLen)
+		var wg sync.WaitGroup
+		for _, cl := range clients {
+			wg.Add(1)
+			go func(cl *client) {
+				defer wg.Done()
+				cl.round(deadline)
+			}(cl)
+		}
+		wg.Wait()
+		ph.wall += time.Since(start).Seconds()
+		runtime.ReadMemStats(&after)
+		ph.allocBytes += after.TotalAlloc - before.TotalAlloc
+	}
+	ph.counters = readCounters().minus(c0)
 
-	ph := &phase{closedLoop: true, allocBytes: after.TotalAlloc - before.TotalAlloc, counters: readCounters().minus(c0)}
 	var wantHits, sweepPoints, hits429, hits5xx, evalHits, evals int
 	var queueWait, streamDelay []float64
 	for _, st := range stats {
 		ph.firstMS = append(ph.firstMS, st.firstMS...)
 		ph.doneMS = append(ph.doneMS, st.doneMS...)
 		ph.evalMS = append(ph.evalMS, st.evalMS...)
-		ph.points += st.points
 		ph.ops += st.ops
-		ph.completions = append(ph.completions, st.completions...)
+		ph.points += st.points
 		ph.attempted += st.attempted
 		ph.failed += st.failed
-		if w := st.end.Sub(start).Seconds(); w > ph.wall {
-			ph.wall = w
-		}
 		wantHits += st.wantCacheHits
 		sweepPoints += st.sweepPoints
 		hits429 += st.http429
@@ -315,26 +325,27 @@ type client struct {
 	gen    *specGen
 	st     *clientStats
 	traced bool
+	k      int // operations started
 }
 
-func (c *client) loop(start, deadline time.Time) {
-	for k := 0; time.Now().Before(deadline); k++ {
+// round runs the client's closed loop until the deadline; the operation in
+// flight at the deadline completes.
+func (c *client) round(deadline time.Time) {
+	for time.Now().Before(deadline) {
 		c.st.attempted++
-		points := c.st.points
 		var err error
-		if k%3 == 2 {
+		if c.k%3 == 2 {
 			err = c.evaluate()
 		} else {
 			err = c.sweep()
 		}
+		c.k++
 		if err != nil {
 			c.st.failed++
 			continue
 		}
 		c.st.ops++
-		c.st.completions = append(c.st.completions, completion{at: time.Since(start).Seconds(), points: c.st.points - points})
 	}
-	c.st.end = time.Now()
 }
 
 // sweep submits the next spec and streams its records to the end.

@@ -104,7 +104,7 @@ func (f *fleetMerge) measure(e *env, tr *tracer) (*phase, error) {
 		var arrivals []time.Time
 		var res fleet.Result
 		var t0 time.Time
-		n, err := timedOp(ph, func(onRecord func(dse.Record)) (err error) {
+		n, err := timedOp(e, ph, func(onRecord func(dse.Record)) (err error) {
 			t0 = time.Now()
 			res, err = fleet.Run(ctx, f.spec, fleet.Config{Workers: urls, Shards: fleetShards, Checkpoint: ckpt,
 				OnRecord: func(rec dse.Record) {

@@ -69,6 +69,9 @@ type env struct {
 	jobs int    // evaluators per sweep
 	dir  string // the run's scratch directory
 	n    int    // scratch directories handed out so far
+
+	kernelSeconds []float64 // every reference-kernel time (calib.go)
+	calibrated    time.Time // when the reference kernel last ran
 }
 
 // scratch returns a fresh directory under the run's scratch directory.
@@ -177,17 +180,27 @@ func run(o options, log io.Writer) (*output, error) {
 
 	var setups []float64
 	for i := 0; i < setupReps(o.workload); i++ {
+		if err := e.calibrate(); err != nil {
+			return failed(err)
+		}
 		t0 := time.Now()
 		if err := b.setup(e); err != nil {
 			return nil, fmt.Errorf("setup: %w", err)
 		}
 		setups = append(setups, time.Since(t0).Seconds())
 	}
+	setupScale := e.recalibrate()
 	plain, err := b.measure(e, nil)
 	if err != nil {
 		return failed(err)
 	}
+	if err := e.calibrate(); err != nil {
+		return failed(err)
+	}
+	scale := e.scale()
 	fmt.Fprintf(log, "%s seed %d: %s\n", o.workload, o.seed, plain.summary())
+	fmt.Fprintf(log, "reference kernel: median %.2f ms over %d runs in the measured phase (%.2f ms at the reference speed): "+
+		"timings scaled by %.4f, set-up by %.4f\n", median(e.kernelSeconds)*1e3, len(e.kernelSeconds), refKernelSeconds*1e3, scale, setupScale)
 
 	sim := paperFigures()
 	if r := plain.sim; r != nil && (r.speedup != sim.speedup || r.energyGain != sim.energyGain) {
@@ -196,7 +209,7 @@ func run(o options, log io.Writer) (*output, error) {
 	}
 	out := &output{Correct: true, Attempted: plain.attempted, Failed: plain.failed}
 	if !o.trace {
-		out.Metrics = plain.endToEnd(median(setups), sim)
+		out.Metrics = plain.endToEnd(median(setups)*setupScale, sim, scale)
 		return out, nil
 	}
 

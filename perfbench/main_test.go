@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -166,14 +167,53 @@ func TestSelfTime(t *testing.T) {
 	}
 }
 
+// TestReferenceKernel requires the calibration kernel to compute what it
+// was written to compute.
+func TestReferenceKernel(t *testing.T) {
+	if got := refKernel(); got != refKernelSum {
+		t.Fatalf("refKernel() = %d, want %d", got, refKernelSum)
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
-	for _, c := range []struct{ q, want float64 }{{0, 1}, {0.5, 2.5}, {0.9, 3.7}, {1, 4}} {
-		if got := quantile(xs, c.q); got < c.want-1e-12 || got > c.want+1e-12 {
+	for _, c := range []struct{ q, want float64 }{{0, 1}, {0.5, 2.5}, {1, 4}} {
+		if got := quantile(xs, c.q); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if got := quantile([]float64{7, 7, 7}, 0.9); math.Abs(got-7) > 1e-12 {
+		t.Errorf("quantile of a constant sample = %v, want 7", got)
+	}
+	// On a large sample the estimate converges to the plain order statistic.
+	var big []float64
+	for i := 0; i < 20000; i++ {
+		big = append(big, float64((i*7919)%20000))
+	}
+	for _, q := range []float64{0.1, 0.5, 0.9} {
+		if got, want := quantile(big, q), q*19999; math.Abs(got-want) > 2 {
+			t.Errorf("quantile(%v) of 0..19999 = %v, want about %v", q, got, want)
 		}
 	}
 	if quantile(nil, 0.5) != 0 {
 		t.Error("quantile of an empty sample should be 0")
+	}
+}
+
+// TestBetaInc compares the incomplete beta function with its closed forms.
+func TestBetaInc(t *testing.T) {
+	for _, x := range []float64{0.01, 0.2, 0.5, 0.77, 0.99} {
+		for _, c := range []struct {
+			a, b, want float64
+		}{
+			{1, 1, x},
+			{3.5, 1, math.Pow(x, 3.5)},
+			{1, 0.3, 1 - math.Pow(1-x, 0.3)},
+			{0.5, 0.5, 2 / math.Pi * math.Asin(math.Sqrt(x))},
+		} {
+			if got := betaInc(x, c.a, c.b); math.Abs(got-c.want) > 1e-10 {
+				t.Errorf("betaInc(%v, %v, %v) = %v, want %v", x, c.a, c.b, got, c.want)
+			}
+		}
 	}
 }

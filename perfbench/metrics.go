@@ -84,13 +84,11 @@ var perLayerMetrics = [][2]string{
 
 // phase is what one measured phase of a workload observed.
 type phase struct {
-	// closedLoop phases report the median rate over rateWindows equal
-	// windows of the loop's wall time; batch phases report the median over
-	// their operations.
-	closedLoop  bool
-	wall        float64      // seconds (closed loop)
-	completions []completion // closed loop: every completed operation
-	ops         int          // completed operations
+	// closedLoop phases report their rates over the loop's whole wall time;
+	// batch phases report the median over their operations.
+	closedLoop bool
+	wall       float64 // closed loop: seconds
+	ops        int     // completed operations
 
 	opSeconds []float64 // batch: duration of each operation
 	opPoints  []int     // batch: records each operation delivered
@@ -118,39 +116,9 @@ func (p *phase) summary() string {
 	return s
 }
 
-// completion is one closed-loop operation that finished at time at
-// (seconds into the loop) and delivered points records.
-type completion struct {
-	at     float64
-	points int
-}
-
-// rateWindows splits a closed loop for its rates, so a stall confined to
-// part of the run moves the median less than the mean.
-const rateWindows = 4
-
-// windowRates returns the median over the windows of operations and of
-// points completed per second.
-func (p *phase) windowRates() (ops, points float64) {
-	width := p.wall / rateWindows
-	var n, pts [rateWindows]float64
-	for _, c := range p.completions {
-		w := min(int(c.at/width), rateWindows-1)
-		n[w]++
-		pts[w] += float64(c.points)
-	}
-	var o, q []float64
-	for w := range n {
-		o = append(o, ratio(n[w], width))
-		q = append(q, ratio(pts[w], width))
-	}
-	return median(o), median(q)
-}
-
 func (p *phase) pointsPerS() float64 {
 	if p.closedLoop {
-		_, pts := p.windowRates()
-		return pts
+		return ratio(float64(p.points), p.wall)
 	}
 	rates := make([]float64, len(p.opSeconds))
 	for i, d := range p.opSeconds {
@@ -159,20 +127,23 @@ func (p *phase) pointsPerS() float64 {
 	return median(rates)
 }
 
-func (p *phase) endToEnd(setupS float64, sim simFigures) map[string]metric {
+// endToEnd returns the end-to-end metrics; scale takes the measured phase's
+// host times to the reference speed (calib.go), and rates divide by it.
+// setupS is already scaled.
+func (p *phase) endToEnd(setupS float64, sim simFigures, scale float64) map[string]metric {
 	opsPerS := ratio(1, median(p.opSeconds))
 	if p.closedLoop {
-		opsPerS, _ = p.windowRates()
+		opsPerS = ratio(float64(p.ops), p.wall)
 	}
 	v := map[string]float64{
-		"points_per_s":           p.pointsPerS(),
-		"ops_per_s":              opsPerS,
-		"submit_first_ms_p50":    quantile(p.firstMS, 0.5),
-		"submit_first_ms_p90":    quantile(p.firstMS, 0.9),
-		"submit_done_ms_p50":     quantile(p.doneMS, 0.5),
-		"submit_done_ms_p90":     quantile(p.doneMS, 0.9),
-		"evaluate_ms_p50":        quantile(p.evalMS, 0.5),
-		"evaluate_ms_p90":        quantile(p.evalMS, 0.9),
+		"points_per_s":           p.pointsPerS() / scale,
+		"ops_per_s":              opsPerS / scale,
+		"submit_first_ms_p50":    quantile(p.firstMS, 0.5) * scale,
+		"submit_first_ms_p90":    quantile(p.firstMS, 0.9) * scale,
+		"submit_done_ms_p50":     quantile(p.doneMS, 0.5) * scale,
+		"submit_done_ms_p90":     quantile(p.doneMS, 0.9) * scale,
+		"evaluate_ms_p50":        quantile(p.evalMS, 0.5) * scale,
+		"evaluate_ms_p90":        quantile(p.evalMS, 0.9) * scale,
 		"success_ratio":          1 - ratio(float64(p.failed), float64(p.attempted)),
 		"alloc_mb_per_point":     ratio(float64(p.allocBytes)/1e6, float64(p.points)),
 		"setup_s":                setupS,
