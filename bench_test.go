@@ -203,20 +203,6 @@ func BenchmarkAccelSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkAccelSimulateBatch measures the multi-scenario fan-out: the
-// whole Table 2 zoo simulated through the batch API in one call
-// (engineering metric for the parallel engine).
-func BenchmarkAccelSimulateBatch(b *testing.B) {
-	traces := make([]*transformer.Trace, 5)
-	for m := 1; m <= 5; m++ {
-		traces[m-1] = trace(m, false, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		accel.SimulateBatch(traces, accel.DefaultOptions())
-	}
-}
-
 // BenchmarkTraceGeneration measures synthetic-trace synthesis for the
 // largest model — the cost the workload trace cache amortizes away.
 func BenchmarkTraceGeneration(b *testing.B) {

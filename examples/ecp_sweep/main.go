@@ -2,8 +2,7 @@
 // on the attention-bound ImageNet-100 configuration: for each pruning
 // threshold it reports how many Q/K tokens survive, the provable score
 // error bound, and the simulated attention-core latency/energy on Bishop.
-// The whole threshold sweep runs through the batch simulation API, fanning
-// the variants out across the worker pool.
+// Each threshold is one accel.Simulate call on the same trace.
 package main
 
 import (
@@ -11,6 +10,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/bundle"
+	"repro/internal/hw"
 	"repro/internal/transformer"
 	"repro/internal/workload"
 )
@@ -22,13 +22,14 @@ func main() {
 
 	thetas := []int{0, 2, 4, 6, 8, 12, 16, 24}
 	opts := make([]accel.Options, len(thetas))
+	reps := make([]*hw.Report, len(thetas))
 	for i, theta := range thetas {
 		opts[i] = accel.DefaultOptions()
 		if theta > 0 {
 			opts[i].ECP = &bundle.ECPConfig{Shape: opts[i].Shape, ThetaQ: theta, ThetaK: theta}
 		}
+		reps[i] = accel.Simulate(tr, opts[i])
 	}
-	reps := accel.SimulateConfigs(tr, opts)
 
 	refAtn := reps[0].AttentionTotal() // theta 0 = unpruned reference
 	tech := reps[0].Tech

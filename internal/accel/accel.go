@@ -7,15 +7,11 @@
 package accel
 
 import (
-	"context"
+	"slices"
+	"sync"
 
 	"repro/internal/bundle"
 	"repro/internal/hw"
-	"repro/internal/hw/attention"
-	"repro/internal/hw/dense"
-	"repro/internal/hw/sparse"
-	"repro/internal/hw/spikegen"
-	"repro/internal/sched"
 	"repro/internal/transformer"
 )
 
@@ -68,102 +64,25 @@ func (o *Options) normalize() {
 	}
 }
 
-// Simulate runs the trace through the Bishop model and returns the report.
-// Independent layers are simulated concurrently across the sched worker
-// pool; the report is identical to a sequential walk (see simulate).
+// simPool holds idle Simulators, so package-level Simulate calls reuse the
+// scratch of earlier ones instead of sizing fresh buffers every time.
+var simPool = sync.Pool{New: func() any { return new(Simulator) }}
+
+// Simulate runs the trace through the Bishop model and returns a report the
+// caller owns. It borrows a pooled Simulator, so in steady state it
+// allocates only the returned report and its layer slice; the walk itself
+// is Simulator.Simulate's. Safe for concurrent use.
 func Simulate(tr *transformer.Trace, opt Options) *hw.Report {
-	return simulate(tr, opt, 0)
-}
-
-// simulate is the layer-level engine behind Simulate and the batch API.
-// Every traced layer is an independent pure function of (layer, opt), so
-// they fan out across jobs workers; the per-layer reports land in trace
-// order and the ordered Finalize reduction keeps the totals bit-identical
-// to a sequential run at any worker count.
-func simulate(tr *transformer.Trace, opt Options, jobs int) *hw.Report {
 	opt.normalize()
-	rep := &hw.Report{Name: "Bishop", Tech: opt.Tech}
-	var idx []int
-	for i, l := range tr.Layers {
-		switch l.Kind {
-		case transformer.KindProjection, transformer.KindMLP, transformer.KindAttention:
-			idx = append(idx, i)
-		default:
-			// Tokenizer: profiled but not a target of the accelerator
-			// (§2.2); prior spiking-CNN accelerators handle it.
-		}
-	}
-	layers, err := sched.Collect(context.Background(), len(idx), jobs,
-		func(i int) (hw.LayerReport, error) {
-			l := tr.Layers[idx[i]]
-			if l.Kind == transformer.KindAttention {
-				return simulateAttention(l, opt), nil
-			}
-			return simulateLinear(l, opt), nil
-		})
-	if err != nil {
-		panic(err) // only a worker panic can surface here; re-raise it
-	}
-	rep.Layers = layers
-	rep.Finalize()
-	return rep
+	sim := simPool.Get().(*Simulator)
+	sim.opt = opt
+	rep := *sim.Simulate(tr)
+	rep.Layers = slices.Clone(rep.Layers)
+	simPool.Put(sim)
+	return &rep
 }
 
-func simulateLinear(l transformer.TraceLayer, opt Options) hw.LayerReport {
-	st := hw.NewLinearStats(l.In, l.DOut, opt.Shape)
-	out := hw.LayerReport{Block: l.Block, Group: l.Group, Name: l.Name}
-
-	var r hw.Result
-	if opt.Stratify {
-		tg := bundle.Tag(l.In, opt.Shape)
-		var res bundle.StratifyResult
-		if opt.ThetaS >= 0 {
-			res = bundle.Stratify(tg, opt.ThetaS)
-		} else {
-			res = bundle.StratifyForSplit(tg, opt.SplitTarget)
-		}
-		dSt, sSt := st.Split(res)
-		// The two cores process their partitions concurrently; the layer
-		// completes when both have (latency = max), then the spike
-		// generator merges partial sums.
-		dr := dense.Simulate(opt.Tech, opt.Array, dSt)
-		sr := sparse.Simulate(opt.Tech, opt.Array, sSt)
-		dr.ChargeStatic(opt.Tech, hw.PowerOf("TTB dense core"))
-		sr.ChargeStatic(opt.Tech, hw.PowerOf("TTB sparse core"))
-		out.Dense, out.Sparse = dr, sr
-		r = dr
-		r.Parallel(sr)
-		// Stratifier: one tag comparison per feature, 32 lanes.
-		r.Cycles += hw.CeilDiv(int64(st.DIn), 32)
-		r.Add(spikeGen(opt, int64(st.T)*int64(st.N)*int64(st.DOut), true))
-		out.Core = "dense+sparse"
-	} else {
-		dr := dense.Simulate(opt.Tech, opt.Array, st)
-		dr.ChargeStatic(opt.Tech, hw.PowerOf("TTB dense core"))
-		out.Dense = dr
-		r = dr
-		r.Add(spikeGen(opt, int64(st.T)*int64(st.N)*int64(st.DOut), false))
-		out.Core = "dense"
-	}
-	out.Result = r
-	return out
-}
-
-func simulateAttention(l transformer.TraceLayer, opt Options) hw.LayerReport {
-	if opt.ECP != nil && l.QKeep == nil {
-		qm, km, _ := opt.ECP.Prune(l.Q, l.K)
-		l.QKeep, l.KKeep = qm, km
-	}
-	st := hw.NewAttnStats(l, opt.Shape)
-	r := attention.Simulate(opt.Tech, opt.Array, st)
-	r.ChargeStatic(opt.Tech, hw.PowerOf("TTB attention core"))
-	r.Add(spikeGen(opt, int64(st.T)*int64(st.N)*int64(st.D), false))
-	return hw.LayerReport{Block: l.Block, Group: l.Group, Name: l.Name,
-		Core: "attention", Result: r}
-}
-
-func spikeGen(opt Options, neurons int64, merge bool) hw.Result {
-	r := spikegen.Simulate(opt.Tech, opt.Array, neurons, merge)
-	r.ChargeStatic(opt.Tech, hw.PowerOf("Spike generator"))
-	return r
-}
+// SimulateSeq is Simulate.
+//
+// Deprecated: use Simulate, which is sequential and pooled.
+func SimulateSeq(tr *transformer.Trace, opt Options) *hw.Report { return Simulate(tr, opt) }

@@ -6,16 +6,16 @@ import (
 	"repro/internal/hw/attention"
 	"repro/internal/hw/dense"
 	"repro/internal/hw/sparse"
+	"repro/internal/hw/spikegen"
 	"repro/internal/transformer"
 )
 
-// Simulator is the reusable, allocation-free form of Simulate: it owns all
-// working memory the layer walk needs (tags, stratifier buffers, split
-// statistics, ECP masks, the report itself) and reuses it across calls, so
-// steady-state simulation — the inner loop of design-space sweeps — does
-// not touch the heap. The walk is sequential; the per-layer math is the
-// same code the concurrent package-level Simulate dispatches, and the
-// report it produces is bit-identical.
+// Simulator is the Bishop simulation engine: it owns all working memory the
+// layer walk needs (tags, stratifier buffers, split statistics, ECP masks,
+// the report itself) and reuses it across calls, so steady-state
+// simulation — the inner loop of design-space sweeps — does not touch the
+// heap. The walk is sequential. The package-level Simulate runs this same
+// walk on a pooled Simulator and copies the report out.
 //
 // The returned report and everything it references are owned by the
 // Simulator and valid until the next Simulate call. A Simulator is not safe
@@ -63,7 +63,9 @@ func (sim *Simulator) Simulate(tr *transformer.Trace) *hw.Report {
 	return rep
 }
 
-// linear mirrors simulateLinear with every buffer drawn from the scratch.
+// linear stratifies an MLP/projection layer onto the dense and sparse cores
+// (Alg. 1), or runs it on the dense core alone when stratification is off,
+// with every buffer drawn from the scratch.
 func (sim *Simulator) linear(l transformer.TraceLayer) hw.LayerReport {
 	opt := sim.opt
 	sim.st.Reset(l.In, l.DOut, opt.Shape, &sim.tags)
@@ -78,6 +80,9 @@ func (sim *Simulator) linear(l transformer.TraceLayer) hw.LayerReport {
 			bundle.StratifyForSplitInto(&sim.tags, opt.SplitTarget, &sim.strat, &sim.stratRes)
 		}
 		st.SplitInto(sim.stratRes, &sim.dSt, &sim.sSt)
+		// The two cores process their partitions concurrently; the layer
+		// completes when both have (latency = max), then the spike
+		// generator merges partial sums.
 		dr := dense.Simulate(opt.Tech, opt.Array, sim.dSt)
 		sr := sparse.Simulate(opt.Tech, opt.Array, sim.sSt)
 		dr.ChargeStatic(opt.Tech, hw.PowerOf("TTB dense core"))
@@ -85,6 +90,7 @@ func (sim *Simulator) linear(l transformer.TraceLayer) hw.LayerReport {
 		out.Dense, out.Sparse = dr, sr
 		r = dr
 		r.Parallel(sr)
+		// Stratifier: one tag comparison per feature, 32 lanes.
 		r.Cycles += hw.CeilDiv(int64(st.DIn), 32)
 		r.Add(spikeGen(opt, int64(st.T)*int64(st.N)*int64(st.DOut), true))
 		out.Core = "dense+sparse"
@@ -100,8 +106,9 @@ func (sim *Simulator) linear(l transformer.TraceLayer) hw.LayerReport {
 	return out
 }
 
-// attention mirrors simulateAttention with the ECP masks drawn from the
-// scratch (they are only read within this call).
+// attention runs an SSA layer on the TTB attention core, first pruning it
+// under ECP when the trace carries no keep-masks; the masks are drawn from
+// the scratch (they are only read within this call).
 func (sim *Simulator) attention(l transformer.TraceLayer) hw.LayerReport {
 	opt := sim.opt
 	if opt.ECP != nil && l.QKeep == nil {
@@ -114,4 +121,10 @@ func (sim *Simulator) attention(l transformer.TraceLayer) hw.LayerReport {
 	r.Add(spikeGen(opt, int64(st.T)*int64(st.N)*int64(st.D), false))
 	return hw.LayerReport{Block: l.Block, Group: l.Group, Name: l.Name,
 		Core: "attention", Result: r}
+}
+
+func spikeGen(opt Options, neurons int64, merge bool) hw.Result {
+	r := spikegen.Simulate(opt.Tech, opt.Array, neurons, merge)
+	r.ChargeStatic(opt.Tech, hw.PowerOf("Spike generator"))
+	return r
 }

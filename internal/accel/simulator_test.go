@@ -25,20 +25,21 @@ func simulatorOptionSets() map[string]Options {
 	}
 }
 
-// TestSimulatorMatchesSimulate pins that the reusable Simulator produces a
-// report bit-identical to the package-level Simulate (which fans out over
-// the worker pool) for every option path, including on repeated reuse.
+// TestSimulatorMatchesSimulate pins that the pooled package-level Simulate
+// carries nothing from one option set to the next: called back to back on
+// one goroutine, each call reuses the Simulator (and the scratch) the
+// previous option set left in the pool, yet every report equals a fresh
+// Simulator's.
 func TestSimulatorMatchesSimulate(t *testing.T) {
 	traces := []int{1, 4}
 	for name, opt := range simulatorOptionSets() {
 		t.Run(name, func(t *testing.T) {
-			sim := NewSimulator(opt)
 			for _, model := range traces {
 				tr := trace(model, model == 1, uint64(model))
-				want := Simulate(tr, opt)
-				got := sim.Simulate(tr)
+				want := NewSimulator(opt).Simulate(tr)
+				got := Simulate(tr, opt)
 				if !reflect.DeepEqual(got.Total, want.Total) {
-					t.Fatalf("model %d: Simulator total %+v != Simulate total %+v",
+					t.Fatalf("model %d: Simulate total %+v != Simulator total %+v",
 						model, got.Total, want.Total)
 				}
 				if !reflect.DeepEqual(got.Layers, want.Layers) {

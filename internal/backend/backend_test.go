@@ -63,7 +63,7 @@ func TestDefaultsSimulate(t *testing.T) {
 		report string
 		direct func() any
 	}{
-		{BishopName, "Bishop", func() any { return accel.SimulateSeq(tr, accel.DefaultOptions()) }},
+		{BishopName, "Bishop", func() any { return accel.Simulate(tr, accel.DefaultOptions()) }},
 		{PTBName, "PTB", func() any { return ptb.Simulate(tr, ptb.DefaultOptions()) }},
 		{GPUName, "EdgeGPU", func() any { return gpu.Simulate(tr, gpu.DefaultOptions()) }},
 	} {

@@ -20,12 +20,11 @@ type Bishop struct {
 // Name implements Backend.
 func (Bishop) Name() string { return BishopName }
 
-// Simulate implements Backend. It uses the sequential per-layer walk
-// (accel.SimulateSeq, bit-identical to the parallel accel.Simulate): the
-// evaluation stack fans out across *points*, so nested per-layer workers
-// would only fight over the pool.
+// Simulate implements Backend through accel.Simulate, the sequential,
+// pooled walk: the evaluation stack fans out across points, and each
+// concurrent evaluation borrows its own Simulator.
 func (b Bishop) Simulate(tr *transformer.Trace) *hw.Report {
-	return accel.SimulateSeq(tr, b.Opt)
+	return accel.Simulate(tr, b.Opt)
 }
 
 // EncodeOptions implements Backend.

@@ -152,7 +152,7 @@ func TestEvaluateMatchesBackendSimulate(t *testing.T) {
 		var rep *hw.Report
 		switch rec.BackendName() {
 		case "bishop":
-			rep = accel.SimulateSeq(tr, p.Opt)
+			rep = accel.Simulate(tr, p.Opt)
 		case "ptb":
 			rep = ptb.Simulate(tr, p.Backend.(backend.PTB).Opt)
 		case "gpu":

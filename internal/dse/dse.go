@@ -159,7 +159,7 @@ func EvaluateAt(p Point, seed uint64, fidelity int) Record {
 	if p.Backend == nil {
 		opt := p.Opt
 		rec.Opt = &opt
-		rep = accel.SimulateSeq(tr, opt)
+		rep = accel.Simulate(tr, opt)
 	} else {
 		rec.Backend = p.Backend.Name()
 		data, err := p.Backend.EncodeOptions()

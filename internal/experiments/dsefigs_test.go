@@ -2,7 +2,7 @@ package experiments
 
 // Conformance of the DSE-backed §6.5 figures: routing Fig. 15/16 through
 // the sweep engine must reproduce, cell for cell, what the deleted bespoke
-// loops computed with accel.SimulateConfigs directly.
+// loops computed with accel.Simulate directly.
 
 import (
 	"fmt"
@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/bundle"
+	"repro/internal/hw"
 )
 
 func TestFig15MatchesDirectSimulation(t *testing.T) {
@@ -17,12 +18,12 @@ func TestFig15MatchesDirectSimulation(t *testing.T) {
 	const seed = 1
 	tr := traceFor(3, false, seed)
 	fracs := []float64{0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
-	opts := make([]accel.Options, len(fracs))
+	reps := make([]*hw.Report, len(fracs))
 	for i, frac := range fracs {
-		opts[i] = accel.DefaultOptions()
-		opts[i].SplitTarget = frac
+		opt := accel.DefaultOptions()
+		opt.SplitTarget = frac
+		reps[i] = accel.Simulate(tr, opt)
 	}
-	reps := accel.SimulateConfigs(tr, opts)
 	var best float64
 	for _, rep := range reps {
 		if edp := rep.EDP(); best == 0 || edp < best {
@@ -53,14 +54,14 @@ func TestFig16MatchesDirectSimulation(t *testing.T) {
 		{BSt: 4, BSn: 2}, {BSt: 4, BSn: 4}, {BSt: 2, BSn: 7}, {BSt: 4, BSn: 14},
 	}
 	tr := traceFor(3, false, seed)
-	opts := make([]accel.Options, len(shapes))
+	reps := make([]*hw.Report, len(shapes))
 	for i, sh := range shapes {
-		opts[i] = accel.DefaultOptions()
-		opts[i].Shape = sh
+		opt := accel.DefaultOptions()
+		opt.Shape = sh
 		theta := paperTheta(3)
-		opts[i].ECP = &bundle.ECPConfig{Shape: sh, ThetaQ: theta, ThetaK: theta}
+		opt.ECP = &bundle.ECPConfig{Shape: sh, ThetaQ: theta, ThetaK: theta}
+		reps[i] = accel.Simulate(tr, opt)
 	}
-	reps := accel.SimulateConfigs(tr, opts)
 
 	tbl := Fig16(seed)
 	for i, rep := range reps {

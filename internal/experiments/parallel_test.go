@@ -10,10 +10,10 @@ import (
 // parallel runner: at a fixed seed, every emitted metric must be identical
 // whether the pool has one worker (GOMAXPROCS=1) or eight. The ids cover
 // the fan-out shapes that re-simulate on every call — paired heterogeneous
-// sims (fig11, sec64) and an options sweep through SimulateConfigs (fig15).
+// sims (fig11, sec64) and an options sweep through dse.Sweep (fig15).
 // fig12/fig13/summary are deliberately absent: their variant matrix is
 // memoized, so a second run would compare the cache against itself (the
-// cached grid's own determinism is pinned by the accel batch tests).
+// cached grid is a dse.Sweep, whose determinism the dse tests pin).
 // This test is deliberately not parallel: it owns GOMAXPROCS while running.
 func TestParallelMatchesSequential(t *testing.T) {
 	ids := []string{"fig11", "fig15", "sec64"}

@@ -26,8 +26,8 @@ type Config struct {
 	// Checkpoint is the durable merged JSONL file. During the run it is an
 	// arrival-order log (resumable after a coordinator SIGKILL via the
 	// torn-tail-tolerant checkpoint loader); on completion it is compacted
-	// into enumeration order, byte-identical to an unsharded dse.Sweep
-	// checkpoint of the same spec.
+	// into enumeration order, byte-identical to the checkpoint of an
+	// unsharded, single-evaluator (Jobs: 1) dse.Sweep of the same spec.
 	Checkpoint string
 	// LeaseTTL is how long a leased shard may go without delivering a record
 	// before its holder is declared stalled and the shard re-leased

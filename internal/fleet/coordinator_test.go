@@ -45,11 +45,14 @@ func newWorkerServer(t *testing.T, mcfg serve.ManagerConfig) *httptest.Server {
 
 // referenceCheckpoint runs the spec unsharded through the exact runner the
 // daemon uses and returns the checkpoint bytes — the ground truth every
-// fleet test compares against.
+// fleet test compares against. It evaluates on one worker so the file is in
+// enumeration order, the order the fleet merge compacts into; Jobs is not
+// part of the spec's identity.
 func referenceCheckpoint(t *testing.T, spec dse.SweepSpec) []byte {
 	t.Helper()
 	s := spec
 	s.Checkpoint = filepath.Join(t.TempDir(), "ref.jsonl")
+	s.Jobs = 1
 	if _, err := serve.Run(context.Background(), s, serve.RunOptions{}); err != nil {
 		t.Fatalf("reference run: %v", err)
 	}

@@ -257,6 +257,11 @@ type EvaluateRequest struct {
 // evaluate runs a single point synchronously, consulting and feeding the
 // result cache; the response body is the evaluation record in checkpoint
 // format, and X-Result-Cache reports hit/miss/off.
+//
+// A cache hit returns the record exactly as the sweep that cached it stored
+// it, including that sweep's enumeration index; a miss returns index 0.
+// Clients that compare hit bodies byte for byte rely on this, so a hit's
+// index is deliberately not rewritten.
 func (s *Server) evaluate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {

@@ -37,8 +37,8 @@ func TestRoundTripTable2Grid(t *testing.T) {
 				if !reflect.DeepEqual(tr, got) {
 					t.Fatal("decoded trace differs from the in-memory trace")
 				}
-				want := accel.SimulateSeq(tr, opt)
-				have := accel.SimulateSeq(got, opt)
+				want := accel.Simulate(tr, opt)
+				have := accel.Simulate(got, opt)
 				if !reflect.DeepEqual(want, have) {
 					t.Fatal("simulation reports differ between original and round-tripped trace")
 				}
