@@ -46,7 +46,7 @@ bench-json:
 	@echo "wrote $(BENCH_OUT)"
 
 # Benchmark-regression gate (cmd/benchdiff): re-measure the hot-path
-# benchmarks — SIMD kernel dispatch, spike-driven GEMM, steady-state
+# benchmarks — SIMD kernel dispatch, TTB tagging, spike-driven GEMM, steady-state
 # simulator, the 12-point sweep grid — with -count=$(BENCH_GATE_COUNT) and compare against the
 # committed baseline, failing on >10% ns/op growth or any allocs/op growth.
 # benchdiff takes the minimum across the repeated counts (noise floor) and
@@ -56,7 +56,7 @@ bench-json:
 # shifts these numbers (or adds/renames a gated benchmark) and commit the
 # result alongside the change.
 BENCH_BASELINE ?= bench/baseline.json
-BENCH_GATE_PKGS = ./internal/spike ./internal/snn ./internal/accel ./internal/dse
+BENCH_GATE_PKGS = ./internal/spike ./internal/bundle ./internal/snn ./internal/accel ./internal/dse
 # min-of-5: the AVX-512 kernels speed up over the first few runs as the
 # core's vector-frequency license warms, so too few counts under-reports
 # the steady-state floor and flags phantom regressions.
@@ -65,7 +65,7 @@ BENCH_GATE_COUNT ?= 5
 # fast (~250ns) kernels far above the timer noise floor that fixed small
 # iteration counts would sit in, while the multi-ms simulator and sweep
 # benchmarks still finish promptly.
-BENCH_GATE_SEL = -run='^$$' -bench='Kernel|Dispatched|LinearForwardSpikes|SimulatorSteadyState|SweepGrid' \
+BENCH_GATE_SEL = -run='^$$' -bench='Kernel|Dispatched|Retag|LinearForwardSpikes|SimulatorSteadyState|SweepGrid' \
 	-benchtime=100ms -count=$(BENCH_GATE_COUNT) -benchmem
 # The reference tolerates go test's -GOMAXPROCS name suffix, so the bare
 # name works on any host.

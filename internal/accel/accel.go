@@ -78,6 +78,7 @@ func Simulate(tr *transformer.Trace, opt Options) *hw.Report {
 	sim.opt = opt
 	rep := *sim.Simulate(tr)
 	rep.Layers = slices.Clone(rep.Layers)
+	sim.tagged = nil // the pool must not keep the trace alive
 	simPool.Put(sim)
 	return &rep
 }

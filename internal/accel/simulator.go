@@ -7,6 +7,7 @@ import (
 	"repro/internal/hw/dense"
 	"repro/internal/hw/sparse"
 	"repro/internal/hw/spikegen"
+	"repro/internal/spike"
 	"repro/internal/transformer"
 )
 
@@ -24,6 +25,9 @@ type Simulator struct {
 	opt Options
 	rep hw.Report
 
+	// tagged is the input that tags, st, stratRes, dSt and sSt hold in the
+	// current walk, compared by pointer: Wq, Wk and Wv share one tensor.
+	tagged   *spike.Tensor
 	tags     bundle.Tags
 	strat    bundle.StratifyScratch
 	stratRes bundle.StratifyResult
@@ -48,6 +52,7 @@ func (sim *Simulator) Simulate(tr *transformer.Trace) *hw.Report {
 	rep.Name, rep.Tech = "Bishop", sim.opt.Tech
 	rep.Total = hw.Result{}
 	rep.Layers = rep.Layers[:0]
+	sim.tagged = nil
 	for _, l := range tr.Layers {
 		switch l.Kind {
 		case transformer.KindProjection, transformer.KindMLP:
@@ -65,21 +70,28 @@ func (sim *Simulator) Simulate(tr *transformer.Trace) *hw.Report {
 
 // linear stratifies an MLP/projection layer onto the dense and sparse cores
 // (Alg. 1), or runs it on the dense core alone when stratification is off,
-// with every buffer drawn from the scratch.
+// with every buffer drawn from the scratch. The input is tagged, stratified
+// and split only when it differs from the previous linear layer's.
 func (sim *Simulator) linear(l transformer.TraceLayer) hw.LayerReport {
 	opt := sim.opt
-	sim.st.Reset(l.In, l.DOut, opt.Shape, &sim.tags)
 	st := &sim.st
+	if sim.tagged == nil || l.In != sim.tagged {
+		sim.tagged = l.In
+		st.Reset(l.In, l.DOut, opt.Shape, &sim.tags)
+		if opt.Stratify {
+			if opt.ThetaS >= 0 {
+				bundle.StratifyInto(&sim.tags, opt.ThetaS, &sim.stratRes)
+			} else {
+				bundle.StratifyForSplitInto(&sim.tags, opt.SplitTarget, &sim.strat, &sim.stratRes)
+			}
+			st.SplitInto(sim.stratRes, &sim.dSt, &sim.sSt)
+		}
+	}
+	st.DOut, sim.dSt.DOut, sim.sSt.DOut = l.DOut, l.DOut, l.DOut
 	out := hw.LayerReport{Block: l.Block, Group: l.Group, Name: l.Name}
 
 	var r hw.Result
 	if opt.Stratify {
-		if opt.ThetaS >= 0 {
-			bundle.StratifyInto(&sim.tags, opt.ThetaS, &sim.strat, &sim.stratRes)
-		} else {
-			bundle.StratifyForSplitInto(&sim.tags, opt.SplitTarget, &sim.strat, &sim.stratRes)
-		}
-		st.SplitInto(sim.stratRes, &sim.dSt, &sim.sSt)
 		// The two cores process their partitions concurrently; the layer
 		// completes when both have (latency = max), then the spike
 		// generator merges partial sums.

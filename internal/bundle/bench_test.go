@@ -1,10 +1,12 @@
 package bundle
 
-// Microbenchmark for TTB tagging: the single-pass word-scan Tag against the
-// pre-refactor per-(feature, bundle) CountBlock formulation. Shape matches
-// the Model-2 activation tensors the hardware model tags per layer.
+// Microbenchmarks for TTB tagging: Retag into a reused Tags, the
+// simulator's steady state, against the naive per-(feature, bundle)
+// CountBlock reference. The tensor matches the Model-2 activation tensors
+// the hardware model tags per layer.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/spike"
@@ -26,39 +28,18 @@ func benchSpikes() *spike.Tensor {
 	return s
 }
 
-// naiveTag is the pre-refactor formulation: one CountBlock per
-// (bundle, feature) pair.
-func naiveTag(s *spike.Tensor, sh Shape) *Tags {
-	nbt := (s.T + sh.BSt - 1) / sh.BSt
-	nbn := (s.N + sh.BSn - 1) / sh.BSn
-	tg := &Tags{Shape: sh, T: s.T, N: s.N, D: s.D, NBt: nbt, NBn: nbn,
-		Counts: make([]int, nbt*nbn*s.D)}
-	for bt := 0; bt < nbt; bt++ {
-		for bn := 0; bn < nbn; bn++ {
-			base := (bt*nbn + bn) * s.D
-			for d := 0; d < s.D; d++ {
-				tg.Counts[base+d] = s.CountBlock(bt*sh.BSt, (bt+1)*sh.BSt, bn*sh.BSn, (bn+1)*sh.BSn, d)
+func BenchmarkRetag(b *testing.B) {
+	s := benchSpikes()
+	for _, sh := range []Shape{{BSt: 4, BSn: 2}, {BSt: 4, BSn: 4}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.BSt, sh.BSn), func(b *testing.B) {
+			var tg Tags
+			tg.Retag(s, sh)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tg.Retag(s, sh)
 			}
-		}
-	}
-	return tg
-}
-
-func TestNaiveTagMatchesTag(t *testing.T) {
-	s := benchSpikes()
-	a, b := Tag(s, DefaultShape), naiveTag(s, DefaultShape)
-	for i := range a.Counts {
-		if a.Counts[i] != b.Counts[i] {
-			t.Fatalf("tag mismatch at %d: %d vs %d", i, a.Counts[i], b.Counts[i])
-		}
-	}
-}
-
-func BenchmarkTag(b *testing.B) {
-	s := benchSpikes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Tag(s, DefaultShape)
+		})
 	}
 }
 

@@ -18,8 +18,7 @@ import (
 )
 
 // resizeInts returns dst resized to n zeroed elements, reusing its backing
-// array when the capacity allows — the shared scratch idiom of the Into
-// variants below.
+// array when the capacity allows — how Retag reuses its buffers.
 func resizeInts(dst []int, n int) []int {
 	if cap(dst) < n {
 		return make([]int, n)
@@ -50,53 +49,108 @@ func (s Shape) validate() {
 }
 
 // Tags holds the L0 activity tags Z of every bundle of a spike tensor
-// (Eq. 9): Counts[(bt·NBn+bn)·D+d] is the number of spikes packed in bundle
-// (bt, bn) of feature d.
+// (Eq. 9) together with the reductions of them that the stratifier
+// (Alg. 1), the core models and ECP (§5.1) read: per-feature active-bundle,
+// spike and max-per-bundle counts, the per-row n_ab, and the totals. Retag
+// computes all of them in one pass over the tensor; they are unexported so
+// nothing can change the tags without the statistics following.
 type Tags struct {
 	Shape    Shape
 	T, N, D  int
 	NBt, NBn int
-	Counts   []int
+
+	counts        []int // counts[(bt·NBn+bn)·D+d]: spikes in bundle (bt, bn) of feature d
+	activePerFeat []int
+	spikesPerFeat []int
+	maxPerFeat    []int
+	activePerRow  []int
+	activeBundles int
+	spikes        int
 }
 
 // Tag computes the bundle activity tags of s under the given bundle shape.
-// Instead of one bit-loop per (feature, bundle) pair, it makes a single
-// word-scan pass over the tensor: each (t, n) token row belongs to exactly
-// one bundle row, so every set bit increments one tag — O(words + spikes)
-// rather than O(T·N·D) bounds-checked Gets.
 func Tag(s *spike.Tensor, sh Shape) *Tags {
 	tg := &Tags{}
 	tg.Retag(s, sh)
 	return tg
 }
 
-// Retag recomputes the tags of s into tg, reusing the Counts buffer when
-// its capacity suffices. It is the zero-alloc form of Tag for steady-state
-// simulation loops.
+// Retag recomputes the tags of s and every statistic derived from them
+// into tg, reusing tg's buffers when their capacity suffices. It is the
+// zero-alloc form of Tag for steady-state simulation loops, and the only
+// pass over the tensor: the accessors below read what it cached.
+//
+// The scan is bit-sliced (the carry-save counting of Muła, Kurz & Lemire,
+// "Faster Population Counts Using AVX2 Instructions", 2018, in portable
+// Go). For each bundle row and each 64-feature word, the row's token words
+// are ripple-carry added into vertical counter planes, so plane p holds bit
+// p of all 64 features' bundle counts at once. Each set bit of plane p adds
+// 2^p to its tag, and the OR of the planes is the word's active mask, whose
+// set bits update the per-feature statistics. The work is one pass over the
+// tensor words plus a few visits per active bundle, instead of one
+// increment per spike and a dense pass over the tag grid per statistic.
 func (tg *Tags) Retag(s *spike.Tensor, sh Shape) {
 	sh.validate()
 	nbt := (s.T + sh.BSt - 1) / sh.BSt
 	nbn := (s.N + sh.BSn - 1) / sh.BSn
 	tg.Shape, tg.T, tg.N, tg.D, tg.NBt, tg.NBn = sh, s.T, s.N, s.D, nbt, nbn
-	tg.Counts = resizeInts(tg.Counts, nbt*nbn*s.D)
-	for t := 0; t < s.T; t++ {
-		btBase := (t / sh.BSt) * nbn
-		for n := 0; n < s.N; n++ {
-			counts := tg.Counts[(btBase+n/sh.BSn)*s.D:]
-			for wi, w := range s.TokenWords(t, n) {
-				base := wi << 6
-				for w != 0 {
-					counts[base+bits.TrailingZeros64(w)]++
-					w &= w - 1
+	tg.counts = resizeInts(tg.counts, nbt*nbn*s.D)
+	tg.activePerFeat = resizeInts(tg.activePerFeat, s.D)
+	tg.spikesPerFeat = resizeInts(tg.spikesPerFeat, s.D)
+	tg.maxPerFeat = resizeInts(tg.maxPerFeat, s.D)
+	tg.activePerRow = resizeInts(tg.activePerRow, nbt*nbn)
+	tg.activeBundles, tg.spikes = 0, 0
+
+	// A bundle holds at most Volume spikes, so Len(Volume) planes count it
+	// without overflow; a carry past the last plane would index out of
+	// range rather than wrap.
+	var planeBuf [bits.UintSize]uint64
+	planes := planeBuf[:bits.Len(uint(sh.Volume()))]
+	words, wpr := s.Words(), s.WordsPerRow()
+	apf, spf, mpf := tg.activePerFeat, tg.spikesPerFeat, tg.maxPerFeat
+	for bt := 0; bt < nbt; bt++ {
+		t0, t1 := bt*sh.BSt, min((bt+1)*sh.BSt, s.T)
+		for bn := 0; bn < nbn; bn++ {
+			n0, n1 := bn*sh.BSn, min((bn+1)*sh.BSn, s.N)
+			row := bt*nbn + bn
+			counts := tg.counts[row*s.D : (row+1)*s.D]
+			var nab, spikes int
+			for wi := 0; wi < wpr; wi++ {
+				clear(planes)
+				for t := t0; t < t1; t++ {
+					for i := (t*s.N+n0)*wpr + wi; i < (t*s.N+n1)*wpr; i += wpr {
+						for p, c := 0, words[i]; c != 0; p++ {
+							planes[p], c = planes[p]^c, planes[p]&c
+						}
+					}
+				}
+				var active uint64
+				for p, pl := range planes {
+					active |= pl
+					spikes += bits.OnesCount64(pl) << p
+					for m := pl; m != 0; m &= m - 1 {
+						counts[wi<<6+bits.TrailingZeros64(m)] += 1 << p
+					}
+				}
+				nab += bits.OnesCount64(active)
+				for m := active; m != 0; m &= m - 1 {
+					d := wi<<6 + bits.TrailingZeros64(m)
+					c := counts[d]
+					apf[d]++
+					spf[d] += c
+					mpf[d] = max(mpf[d], c)
 				}
 			}
+			tg.activePerRow[row] = nab
+			tg.activeBundles += nab
+			tg.spikes += spikes
 		}
 	}
 }
 
 // Count returns the L0 tag of bundle (bt, bn, d).
 func (tg *Tags) Count(bt, bn, d int) int {
-	return tg.Counts[(bt*tg.NBn+bn)*tg.D+d]
+	return tg.counts[(bt*tg.NBn+bn)*tg.D+d]
 }
 
 // Active reports whether bundle (bt, bn, d) contains at least one spike.
@@ -106,15 +160,7 @@ func (tg *Tags) Active(bt, bn, d int) bool { return tg.Count(bt, bn, d) > 0 }
 func (tg *Tags) TotalBundles() int { return tg.NBt * tg.NBn * tg.D }
 
 // ActiveBundles returns the total number of active bundles.
-func (tg *Tags) ActiveBundles() int {
-	var c int
-	for _, v := range tg.Counts {
-		if v > 0 {
-			c++
-		}
-	}
-	return c
-}
+func (tg *Tags) ActiveBundles() int { return tg.activeBundles }
 
 // BundleDensity is the fraction of bundles that are active — the "TTB
 // density" reported in Fig. 6.
@@ -124,13 +170,11 @@ func (tg *Tags) BundleDensity() float64 {
 
 // SpikeCount returns the total number of spikes (the Σ of all tags), which
 // equals the L_bsp contribution of this tensor (Eq. 10).
-func (tg *Tags) SpikeCount() int {
-	var c int
-	for _, v := range tg.Counts {
-		c += v
-	}
-	return c
-}
+func (tg *Tags) SpikeCount() int { return tg.spikes }
+
+// copyInts returns src copied into dst, reusing dst's backing array when
+// the capacity allows — the scratch idiom of the Into accessors below.
+func copyInts(dst, src []int) []int { return append(dst[:0], src...) }
 
 // ActivePerFeature returns, for each feature d, the number of active bundles
 // in its column. This is the per-feature statistic histogrammed in Fig. 5
@@ -142,16 +186,7 @@ func (tg *Tags) ActivePerFeature() []int {
 // ActivePerFeatureInto is ActivePerFeature writing into dst (resized and
 // reused when capacity allows).
 func (tg *Tags) ActivePerFeatureInto(dst []int) []int {
-	out := resizeInts(dst, tg.D)
-	for b := 0; b < tg.NBt*tg.NBn; b++ {
-		base := b * tg.D
-		for d := 0; d < tg.D; d++ {
-			if tg.Counts[base+d] > 0 {
-				out[d]++
-			}
-		}
-	}
-	return out
+	return copyInts(dst, tg.activePerFeat)
 }
 
 // SpikesPerFeature returns the raw spike count per feature column.
@@ -162,14 +197,15 @@ func (tg *Tags) SpikesPerFeature() []int {
 // SpikesPerFeatureInto is SpikesPerFeature writing into dst (resized and
 // reused when capacity allows).
 func (tg *Tags) SpikesPerFeatureInto(dst []int) []int {
-	out := resizeInts(dst, tg.D)
-	for b := 0; b < tg.NBt*tg.NBn; b++ {
-		base := b * tg.D
-		for d := 0; d < tg.D; d++ {
-			out[d] += tg.Counts[base+d]
-		}
-	}
-	return out
+	return copyInts(dst, tg.spikesPerFeat)
+}
+
+// MaxPerFeatureInto writes, for each feature d, the largest tag in its
+// column — the most spikes any one of its bundles holds, which bounds the
+// lockstep schedule of the systolic dense core — into dst (resized and
+// reused when capacity allows).
+func (tg *Tags) MaxPerFeatureInto(dst []int) []int {
+	return copyInts(dst, tg.maxPerFeat)
 }
 
 // ActivePerRow returns n_ab for each bundle row (bt, bn): the number of
@@ -182,16 +218,7 @@ func (tg *Tags) ActivePerRow() []int {
 // ActivePerRowInto is ActivePerRow writing into dst (resized and reused
 // when capacity allows).
 func (tg *Tags) ActivePerRowInto(dst []int) []int {
-	out := resizeInts(dst, tg.NBt*tg.NBn)
-	for b := range out {
-		base := b * tg.D
-		for d := 0; d < tg.D; d++ {
-			if tg.Counts[base+d] > 0 {
-				out[b]++
-			}
-		}
-	}
-	return out
+	return copyInts(dst, tg.activePerRow)
 }
 
 // FeatureActivityHistogram buckets features by their active-bundle count
@@ -199,10 +226,9 @@ func (tg *Tags) ActivePerRowInto(dst []int) []int {
 // features per bucket — the "ratio of features vs # active bundles"
 // distribution of Fig. 5.
 func (tg *Tags) FeatureActivityHistogram(nBuckets int) []float64 {
-	per := tg.ActivePerFeature()
 	maxA := tg.NBt * tg.NBn
 	hist := make([]float64, nBuckets)
-	for _, a := range per {
+	for _, a := range tg.activePerFeat {
 		b := a * nBuckets / (maxA + 1)
 		if b >= nBuckets {
 			b = nBuckets - 1
@@ -220,7 +246,7 @@ func (tg *Tags) FeatureActivityHistogram(nBuckets int) []float64 {
 // structured pruning of their weights.
 func (tg *Tags) ZeroFeatureFraction() float64 {
 	var z int
-	for _, a := range tg.ActivePerFeature() {
+	for _, a := range tg.activePerFeat {
 		if a == 0 {
 			z++
 		}
@@ -241,38 +267,35 @@ type StratifyResult struct {
 	BundlesPerFeat int // total bundles per feature column
 }
 
-// StratifyScratch holds the per-feature working buffers of the stratifier
-// so steady-state simulation loops can run it without allocating.
+// StratifyScratch holds the sort buffer of the balancing stratifier so
+// steady-state simulation loops can run it without allocating.
 type StratifyScratch struct {
-	active, spikes, sorted []int
+	sorted []int
 }
 
 // Stratify implements Alg. 1: feature i goes to the dense set when its
 // column's active-bundle count exceeds θ_s, otherwise to the sparse set.
 func Stratify(tg *Tags, theta int) StratifyResult {
 	var res StratifyResult
-	StratifyInto(tg, theta, &StratifyScratch{}, &res)
+	StratifyInto(tg, theta, &res)
 	return res
 }
 
-// StratifyInto is Stratify reusing the scratch buffers and the index
-// slices already held by res.
-func StratifyInto(tg *Tags, theta int, sc *StratifyScratch, res *StratifyResult) {
+// StratifyInto is Stratify reusing the index slices already held by res.
+func StratifyInto(tg *Tags, theta int, res *StratifyResult) {
 	*res = StratifyResult{
 		Theta: theta, BundlesPerFeat: tg.NBt * tg.NBn,
 		Dense: res.Dense[:0], Sparse: res.Sparse[:0],
 	}
-	sc.active = tg.ActivePerFeatureInto(sc.active)
-	sc.spikes = tg.SpikesPerFeatureInto(sc.spikes)
-	for d := 0; d < tg.D; d++ {
-		if sc.active[d] > theta {
+	for d, active := range tg.activePerFeat {
+		if active > theta {
 			res.Dense = append(res.Dense, d)
-			res.DenseSpikes += sc.spikes[d]
-			res.DenseBundles += sc.active[d]
+			res.DenseSpikes += tg.spikesPerFeat[d]
+			res.DenseBundles += active
 		} else {
 			res.Sparse = append(res.Sparse, d)
-			res.SparseSpikes += sc.spikes[d]
-			res.SparseBundles += sc.active[d]
+			res.SparseSpikes += tg.spikesPerFeat[d]
+			res.SparseBundles += active
 		}
 	}
 }
@@ -336,5 +359,5 @@ func StratifyForSplitInto(tg *Tags, targetDenseFrac float64, sc *StratifyScratch
 			theta = 0
 		}
 	}
-	StratifyInto(tg, theta, sc, res)
+	StratifyInto(tg, theta, res)
 }

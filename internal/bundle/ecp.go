@@ -44,13 +44,12 @@ func frac(a, b int) float64 {
 	return float64(a) / float64(b)
 }
 
-// ECPScratch holds the tag, row-statistic, and keep-mask buffers of one
-// ECP application so steady-state simulation loops can prune without
-// allocating. The masks returned by PruneInto alias this scratch and stay
-// valid until the next PruneInto call.
+// ECPScratch holds the tag and keep-mask buffers of one ECP application so
+// steady-state simulation loops can prune without allocating. The masks
+// returned by PruneInto alias this scratch and stay valid until the next
+// PruneInto call.
 type ECPScratch struct {
 	tags         Tags
-	nab          []int
 	qKeep, kKeep [][]bool
 	qBits, kBits []bool
 }
@@ -83,8 +82,7 @@ func resizeMask(rows [][]bool, backing []bool, t, n int) ([][]bool, []bool) {
 func pruneRows(s *spike.Tensor, sh Shape, theta int, sc *ECPScratch, rows [][]bool, backing []bool) (keep [][]bool, bits []bool, rowsKept, rowsTotal, tokKept int) {
 	sc.tags.Retag(s, sh)
 	tg := &sc.tags
-	sc.nab = tg.ActivePerRowInto(sc.nab)
-	nab := sc.nab
+	nab := tg.activePerRow
 	keep, bits = resizeMask(rows, backing, s.T, s.N)
 	for bt := 0; bt < tg.NBt; bt++ {
 		for bn := 0; bn < tg.NBn; bn++ {
@@ -158,8 +156,7 @@ func ThetaForKeepFraction(s *spike.Tensor, sh Shape, keep float64) int {
 	if keep >= 1 {
 		return 0
 	}
-	tg := Tag(s, sh)
-	sorted := append([]int(nil), tg.ActivePerRow()...)
+	sorted := Tag(s, sh).ActivePerRow()
 	sort.Ints(sorted)
 	idx := int((1 - keep) * float64(len(sorted)))
 	if idx >= len(sorted) {

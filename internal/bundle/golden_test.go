@@ -45,7 +45,7 @@ func TestGoldenTagChecksum(t *testing.T) {
 	)
 	s := goldenTensor(7, 9, 130, 7*9*130/4, 99)
 	tg := Tag(s, Shape{BSt: 3, BSn: 2})
-	got := intHash(tg.Counts, tg.ActivePerFeature(), tg.SpikesPerFeature())
+	got := intHash(tg.counts, tg.ActivePerFeature(), tg.SpikesPerFeature())
 	rows := intHash(tg.ActivePerRow())
 	if os.Getenv("PRINT_GOLDEN") != "" {
 		t.Logf("goldenCounts = uint64(%#x)", got)

@@ -35,37 +35,17 @@ func NewLinearStats(in *spike.Tensor, dout int, sh bundle.Shape) LinearStats {
 // Reset recomputes st for a new workload, reusing both its own per-feature
 // slices and the caller-held tag scratch — the zero-alloc form of
 // NewLinearStats for steady-state simulation loops. tg is left holding the
-// computed tags (callers feed it to the stratifier).
+// computed tags (callers feed it to the stratifier); every statistic is
+// copied from the ones Retag cached.
 func (st *LinearStats) Reset(in *spike.Tensor, dout int, sh bundle.Shape, tg *bundle.Tags) {
 	tg.Retag(in, sh)
 	st.T, st.N, st.DIn, st.DOut, st.Shape = in.T, in.N, in.D, dout, sh
 	st.B = tg.NBt * tg.NBn
 	st.ActivePerFeature = tg.ActivePerFeatureInto(st.ActivePerFeature)
 	st.SpikesPerFeature = tg.SpikesPerFeatureInto(st.SpikesPerFeature)
-	st.TotalSpikes = in.Count()
+	st.MaxSpikesPerBundle = tg.MaxPerFeatureInto(st.MaxSpikesPerBundle)
+	st.TotalSpikes = tg.SpikeCount()
 	st.ActiveBundles = tg.ActiveBundles()
-	st.MaxSpikesPerBundle = resizeInts(st.MaxSpikesPerBundle, in.D)
-	for b := 0; b < st.B; b++ {
-		base := b * in.D
-		for d := 0; d < in.D; d++ {
-			if c := tg.Counts[base+d]; c > st.MaxSpikesPerBundle[d] {
-				st.MaxSpikesPerBundle[d] = c
-			}
-		}
-	}
-}
-
-// resizeInts returns dst resized to n zeroed elements, reusing its backing
-// array when the capacity allows.
-func resizeInts(dst []int, n int) []int {
-	if cap(dst) < n {
-		return make([]int, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
-	}
-	return dst
 }
 
 // Split partitions the per-feature statistics by a stratification result,
