@@ -199,7 +199,8 @@ serve-smoke:
 # `bishopctl run`. One worker is SIGKILLed as soon as the first record is
 # durably merged — mid-sweep — so its shard must be re-leased and absorbed
 # by the survivors. The merged checkpoint must come out byte-identical to an
-# unsharded `cmd/dse -spec` run of the same spec, and the merged frontier
+# unsharded, single-evaluator `cmd/dse -spec -jobs 1` run of the same spec
+# (more evaluators append in completion order), and the merged frontier
 # artifact must be non-empty. FLEET_FRONTIER_OUT overrides the artifact
 # path.
 FLEET_FRONTIER_OUT ?= $(SMOKE_DIR)/fleet-frontier.json
@@ -207,7 +208,7 @@ fleet-smoke:
 	@set -e; \
 	d=$(SMOKE_DIR)/fleet; rm -rf $$d; mkdir -p $$d; \
 	$(GO) run ./cmd/dse -models 4 -bsa false,true -shapes 4x2,2x2,1x2,4x4 -ecp 0,2,4,6,8,10 -print-spec > $$d/spec.json; \
-	$(GO) run ./cmd/dse -spec $$d/spec.json -checkpoint $$d/ref.jsonl > /dev/null; \
+	$(GO) run ./cmd/dse -spec $$d/spec.json -jobs 1 -checkpoint $$d/ref.jsonl > /dev/null; \
 	$(GO) build -o $$d/bishopd.bin ./cmd/bishopd; \
 	$(GO) build -o $$d/bishopctl.bin ./cmd/bishopctl; \
 	$(GO) build -o $$d/faultproxy.bin ./cmd/faultproxy; \

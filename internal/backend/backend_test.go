@@ -8,6 +8,11 @@ import (
 	"repro/internal/accel"
 	"repro/internal/baseline/gpu"
 	"repro/internal/baseline/ptb"
+	"repro/internal/bundle"
+	"repro/internal/dataset"
+	"repro/internal/hw"
+	"repro/internal/snn"
+	"repro/internal/train"
 	"repro/internal/transformer"
 	"repro/internal/workload"
 )
@@ -135,5 +140,44 @@ func TestDigestsDistinct(t *testing.T) {
 	}
 	if FoldName(1, "ptb") == FoldName(1, "gpu") {
 		t.Fatal("FoldName must separate names")
+	}
+}
+
+// TestTrainedTraceBeatsPTB is the end-to-end co-design claim on a real
+// activation trace: a spiking transformer trained with BSA and ECP-aware
+// pruning is traced on one test input, and through the registry Bishop must
+// beat PTB on latency and energy, and the edge GPU on latency.
+func TestTrainedTraceBeatsPTB(t *testing.T) {
+	ds := dataset.CIFAR10Like(80, 40, 5)
+	m := transformer.NewModel(transformer.Config{Name: "trained-tiny", Blocks: 2, T: 4, N: ds.N,
+		D: 32, Heads: 4, MLPRatio: 2, PatchDim: ds.PatchD, Classes: ds.Classes,
+		LIF: snn.DefaultLIF()}, 1)
+	m.BSA = &transformer.BSAConfig{Lambda: 0.0004, Shape: bundle.DefaultShape, Structured: true}
+	ecp := bundle.ECPConfig{Shape: bundle.DefaultShape, ThetaQ: 2, ThetaK: 2}
+	m.Prune = ecp.PruneFn(nil)
+	trainer := &train.Trainer{Model: m, Opt: train.NewAdamW(0.002, 1e-4), ClipL2: 5}
+	if acc := trainer.Run(ds, 4); acc < 0.3 {
+		t.Fatalf("trained accuracy %.3f too low", acc)
+	}
+	m.Forward(ds.Test[0].X)
+	tr := m.Trace()
+
+	reports := map[string]*hw.Report{}
+	for _, name := range Names() {
+		b, err := Default(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports[name] = b.Simulate(tr)
+	}
+	bishop, ptbRep, gpuRep := reports[BishopName], reports[PTBName], reports[GPUName]
+	if s := ptbRep.LatencyMS() / bishop.LatencyMS(); s <= 1 {
+		t.Fatalf("Bishop must beat PTB on a trained trace: %.2fx", s)
+	}
+	if g := ptbRep.EnergyMJ() / bishop.EnergyMJ(); g <= 1 {
+		t.Fatalf("Bishop must use less energy than PTB: %.2fx", g)
+	}
+	if gpuRep.LatencyMS() <= bishop.LatencyMS() {
+		t.Fatal("the edge GPU must be slower than Bishop")
 	}
 }

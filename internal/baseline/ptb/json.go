@@ -57,15 +57,5 @@ func (o Options) Validate() error {
 func (o Options) Digest() uint64 {
 	c := o
 	c.normalize()
-	data, err := json.Marshal(c)
-	if err != nil {
-		panic(fmt.Sprintf("ptb: Options not marshalable: %v", err)) // unreachable: all fields are plain values
-	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	return hw.DigestJSON(c)
 }

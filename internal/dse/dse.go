@@ -4,11 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 
 	"repro/internal/accel"
 	"repro/internal/backend"
+	"repro/internal/bundle"
 	"repro/internal/hw"
 	"repro/internal/sched"
 	"repro/internal/transformer"
@@ -185,9 +186,10 @@ type Config struct {
 	Checkpoint string
 
 	// Shard i of Shards partitions the point set deterministically by
-	// enumeration index (point i belongs to shard i mod Shards), so n
-	// machines given the same spec and -shard 0/n … (n-1)/n cover the space
-	// exactly once. Zero values mean "the whole space".
+	// enumeration index (see Units: a digest belongs to the shard of its
+	// first occurrence), so n machines given the same spec and -shard 0/n …
+	// (n-1)/n cover the space exactly once. Zero values mean "the whole
+	// space".
 	Shard, Shards int
 
 	Jobs int // parallel evaluators (<=0 → GOMAXPROCS)
@@ -206,10 +208,10 @@ type Config struct {
 	Select []string
 
 	// Preloaded seeds the sweep with records that are already known — the
-	// serving layer's digest-addressed result cache. Records carrying the
-	// sweep's seed are adopted into the result set without re-evaluation,
-	// exactly like checkpoint records; they are not re-appended to the
-	// checkpoint (they are already durable wherever they came from).
+	// serving layer's digest-addressed result cache. They are adopted under
+	// the same rule as checkpoint records (Dedup.Add) without
+	// re-evaluation; they are not re-appended to the checkpoint (they are
+	// already durable wherever they came from).
 	Preloaded []Record
 
 	// OnRecord, when non-nil, observes every *fresh* evaluation right after
@@ -233,10 +235,101 @@ func (c *Config) normalize() error {
 	return nil
 }
 
+// Units is the work plan of the sweep over points: in enumeration order,
+// the index of the first occurrence of every distinct point digest whose
+// first occurrence falls in shard Shard of Shards (point i belongs to shard
+// i mod Shards) and whose digest passes Select. Seeded-random samples repeat
+// coordinates; each digest is one unit, owned by exactly one shard, so n
+// shards of the same spec together evaluate exactly the units of the
+// unsharded sweep. Every runner — Sweep, the serving layer's cache preload,
+// the fleet coordinator's shard inventory, the search candidate list — takes
+// its work list from here.
+func (c Config) Units(points []Point) []int { return c.units(DigestKeys(points)) }
+
+// units is Units over the points' digest keys.
+func (c Config) units(keys []string) []int {
+	shards := max(c.Shards, 1)
+	sel := digestSet(c.Select)
+	seen := make(map[string]bool, len(keys))
+	var units []int
+	for i, key := range keys {
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		if i%shards == c.Shard && (sel == nil || sel[key]) {
+			units = append(units, i)
+		}
+	}
+	return units
+}
+
+// DigestKeys returns DigestKey of every point. Marshaling the options
+// dominates the cost of a point digest, and a grid repeats every Bishop
+// configuration once per (model, BSA) pair, so each distinct configuration
+// is marshaled once.
+func DigestKeys(points []Point) []string {
+	// optKey is a comparable spelling of accel.Options: the ECP pointer is
+	// replaced by the value it points to.
+	type optKey struct {
+		opt    accel.Options
+		ecp    bundle.ECPConfig
+		hasECP bool
+	}
+	memo := map[optKey]uint64{}
+	keys := make([]string, len(points))
+	for i, p := range points {
+		p = p.canon()
+		if p.Backend != nil {
+			keys[i] = digestKey(p)
+			continue
+		}
+		k := optKey{opt: p.Opt}
+		if e := p.Opt.ECP; e != nil {
+			k.opt.ECP, k.ecp, k.hasECP = nil, *e, true
+		}
+		h, ok := memo[k]
+		if exact := !signedZero(p.Opt); !ok || !exact {
+			h = p.Opt.Digest()
+			if exact {
+				memo[k] = h
+			}
+		}
+		keys[i] = fmt.Sprintf("%016x", p.fold(h))
+	}
+	return keys
+}
+
+// signedZero reports whether a float knob of o holds negative zero, which
+// == treats as +0 but the JSON encoder, and so the digest, spells "-0".
+// TestSignedZeroCoversEveryFloat keeps the list complete.
+func signedZero(o accel.Options) bool {
+	t := o.Tech
+	for _, f := range [...]float64{t.ClockHz, t.EAcc32, t.EAcc8, t.EMul8, t.EAnd, t.EMux, t.EReg,
+		t.DRAMBandwidth, t.EDRAMPerByte, t.PDRAM, t.StaticFrac, o.SplitTarget} {
+		if f == 0 && math.Signbit(f) {
+			return true
+		}
+	}
+	return false
+}
+
+// digestSet indexes a Select list; nil (no restriction) stays nil.
+func digestSet(digests []string) map[string]bool {
+	if digests == nil {
+		return nil
+	}
+	set := make(map[string]bool, len(digests))
+	for _, d := range digests {
+		set[d] = true
+	}
+	return set
+}
+
 // ResultSet is the merged outcome of a sweep: every record available for the
 // requested point set (freshly evaluated, or recovered from the checkpoint —
 // including records another shard contributed to a shared checkpoint file),
-// in point-enumeration order.
+// one per occurrence in point-enumeration order.
 type ResultSet struct {
 	Points  []Point
 	Records []Record
@@ -248,27 +341,22 @@ type ResultSet struct {
 // Complete reports whether every point of the set has a record.
 func (rs *ResultSet) Complete() bool { return len(rs.Records) == len(rs.Points) }
 
-// ByDigest returns the record for the given point, if present.
-func (rs *ResultSet) ByDigest(p Point) (Record, bool) {
-	key := digestKey(p)
-	for _, r := range rs.Records {
-		if r.Digest == key {
-			return r, true
-		}
-	}
-	return Record{}, false
-}
-
-// Sweep evaluates the shard-assigned subset of points that is not already
-// checkpointed, appending each record to the checkpoint as it lands, and
-// returns the merged result set. On cancellation the records completed so
-// far are already durable in the checkpoint and the error is returned; a
-// later call with the same arguments resumes where the sweep stopped.
+// Sweep evaluates the units of cfg (see Config.Units) that are not already
+// checkpointed or preloaded, appending each record to the checkpoint as it
+// lands, and returns the merged result set. On cancellation the records
+// completed so far are already durable in the checkpoint and the error is
+// returned; a later call with the same arguments resumes where the sweep
+// stopped.
 func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	done := map[string]Record{}
+	// Checkpoint and preloaded records are adopted under Dedup's rule: a
+	// record from a different trace seed or fidelity describes a different
+	// experiment, and a malformed one simply re-evaluates. Digests key the
+	// adoption so a checkpoint survives re-ordering of the spec; indices are
+	// recomputed from the current enumeration.
+	done := NewDedupAt(cfg.Seed, cfg.Fidelity)
 	var ckpt *checkpoint
 	if cfg.Checkpoint != "" {
 		var err error
@@ -277,52 +365,22 @@ func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) 
 		}
 		defer ckpt.Close()
 		for _, r := range ckpt.Records() {
-			// A record from a different trace seed or fidelity describes a
-			// different experiment: never let it satisfy this sweep's points.
-			if r.Seed == cfg.Seed && r.Fidelity == cfg.Fidelity {
-				done[r.Digest] = r
-			}
+			done.Add(r)
 		}
 	}
 	for _, r := range cfg.Preloaded {
-		// Same seed and fidelity discipline as the checkpoint; malformed
-		// injected records are dropped and their points simply re-evaluate.
-		if r.Seed == cfg.Seed && r.valid() && r.Fidelity == cfg.Fidelity {
-			done[r.Digest] = r
-		}
+		done.Add(r)
 	}
-	var sel map[string]bool
-	if cfg.Select != nil {
-		sel = make(map[string]bool, len(cfg.Select))
-		for _, d := range cfg.Select {
-			sel[d] = true
-		}
-	}
-
-	// Shard partition and survivor selection, then drop points that are
-	// already evaluated — checkpointed at this seed, or duplicated within the
-	// point set itself (seeded-random samples repeat coordinates). Digests
-	// key the skip test so a checkpoint survives re-ordering of the spec;
-	// indices are recomputed from the current enumeration.
+	keys := DigestKeys(points)
 	var todo []int
-	queued := map[string]bool{}
-	for i := range points {
-		if i%cfg.Shards != cfg.Shard {
-			continue
+	for _, i := range cfg.units(keys) {
+		if _, ok := done.Get(keys[i]); !ok {
+			todo = append(todo, i)
 		}
-		key := digestKey(points[i])
-		if sel != nil && !sel[key] {
-			continue
-		}
-		if _, ok := done[key]; ok || queued[key] {
-			continue
-		}
-		queued[key] = true
-		todo = append(todo, i)
 	}
 
 	var mu sync.Mutex
-	fresh := map[string]Record{}
+	evaluated := 0
 	err := sched.Map(ctx, len(todo), cfg.Jobs, func(k int) error {
 		i := todo[k]
 		rec := EvaluateAt(points[i], cfg.Seed, cfg.Fidelity)
@@ -334,52 +392,23 @@ func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) 
 				return werr
 			}
 		}
-		fresh[rec.Digest] = rec
+		done.recs[rec.Digest] = rec // fresh by construction: todo skips adopted digests
+		evaluated++
 		if cfg.OnRecord != nil {
 			cfg.OnRecord(rec)
 		}
 		return nil
 	})
 
-	rs := &ResultSet{Points: points, Evaluated: len(fresh)}
-	for i, p := range points {
-		key := digestKey(p)
-		if sel != nil && !sel[key] {
-			continue
+	// One record per occurrence of every selected point that has one (this
+	// shard's units, or another shard's found in a shared checkpoint).
+	rs := &ResultSet{Points: points, Evaluated: evaluated}
+	sel := digestSet(cfg.Select)
+	for i, key := range keys {
+		if rec, ok := done.Get(key); ok && (sel == nil || sel[key]) {
+			rec.Index = i
+			rs.Records = append(rs.Records, rec)
 		}
-		rec, ok := fresh[key]
-		if !ok {
-			if rec, ok = done[key]; !ok {
-				continue // not evaluated (other shard, or cancelled)
-			}
-		}
-		rec.Index = i
-		rs.Records = append(rs.Records, rec)
 	}
 	return rs, err
-}
-
-// Merge combines result sets from different shards (or checkpoint loads)
-// over the same point enumeration into one set in point order. Duplicate
-// digests collapse to a single record — evaluation is deterministic, so any
-// copy is the same record.
-func Merge(sets ...*ResultSet) *ResultSet {
-	if len(sets) == 0 {
-		return &ResultSet{}
-	}
-	byDigest := map[string]Record{}
-	for _, s := range sets {
-		for _, r := range s.Records {
-			byDigest[r.Digest] = r
-		}
-	}
-	out := &ResultSet{Points: sets[0].Points}
-	for i, p := range out.Points {
-		if rec, ok := byDigest[digestKey(p)]; ok {
-			rec.Index = i
-			out.Records = append(out.Records, rec)
-		}
-	}
-	sort.SliceStable(out.Records, func(a, b int) bool { return out.Records[a].Index < out.Records[b].Index })
-	return out
 }

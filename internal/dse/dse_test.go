@@ -173,7 +173,7 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 
 	dir := t.TempDir()
 	const shards = 3
-	sets := make([]*ResultSet, shards)
+	union := NewDedupAt(1, 0)
 	var totalRecords int
 	for i := 0; i < shards; i++ {
 		ckpt := filepath.Join(dir, "shard.jsonl")
@@ -190,16 +190,14 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sets[i] = &ResultSet{Points: points, Records: recs}
+		for _, r := range recs {
+			union.Add(r)
+		}
 	}
 	if totalRecords != len(points) {
 		t.Fatalf("shards evaluated %d records want %d (overlap or gap)", totalRecords, len(points))
 	}
-	merged := Merge(sets...)
-	if !merged.Complete() {
-		t.Fatal("merged shard union incomplete")
-	}
-	if !reflect.DeepEqual(merged.Records, want.Records) {
+	if merged := union.Ordered(points); !reflect.DeepEqual(merged, want.Records) {
 		t.Fatal("shard union must equal the unsharded sweep bit-for-bit")
 	}
 }
@@ -409,11 +407,11 @@ func TestSweepSharedTraceStoreBitIdentical(t *testing.T) {
 		t.Fatalf("shard 1 should hit the shared store: hits=%d errors=%d", h, e)
 	}
 
-	merged := Merge(s0, s1)
-	if !merged.Complete() {
-		t.Fatalf("merged shards incomplete: %d/%d", len(merged.Records), len(merged.Points))
+	union := NewDedupAt(1, 0)
+	for _, r := range append(s0.Records, s1.Records...) {
+		union.Add(r)
 	}
-	if !reflect.DeepEqual(full.Records, merged.Records) {
+	if merged := union.Ordered(points); !reflect.DeepEqual(full.Records, merged) {
 		t.Fatal("shared-trace-store shards differ from the regenerating sweep")
 	}
 }

@@ -1,10 +1,6 @@
 package dse
 
-import (
-	"fmt"
-
-	"repro/internal/hw"
-)
+import "repro/internal/hw"
 
 // This file is the merge/dedup surface the fleet coordinator builds on: an
 // exported checkpoint writer that can append verbatim record lines received
@@ -67,20 +63,17 @@ func (w *CheckpointWriter) AppendLine(line []byte) error { return w.c.appendLine
 // Close closes the underlying file.
 func (w *CheckpointWriter) Close() error { return w.c.Close() }
 
-// Dedup is a seed- and fidelity-scoped record set keyed by point digest.
-// Add is the merge primitive for streams that re-deliver records — re-leased
-// shards, replayed worker logs, resumed checkpoints — it accepts each digest
-// once and drops records from other trace seeds or fidelities (either
-// describes a different experiment, same discipline as checkpoint adoption).
+// Dedup is a seed- and fidelity-scoped record set keyed by point digest:
+// the one adoption rule for records that were not evaluated by the caller —
+// checkpoint lines, preloaded cache hits, re-leased shards, replayed worker
+// logs. Add accepts each digest once and drops malformed records and
+// records from other trace seeds or fidelities (either describes a
+// different experiment).
 type Dedup struct {
 	seed     uint64
 	fidelity int
 	recs     map[string]Record
 }
-
-// NewDedup returns a deduper admitting full-fidelity records with the given
-// trace seed.
-func NewDedup(seed uint64) *Dedup { return NewDedupAt(seed, 0) }
 
 // NewDedupAt returns a deduper admitting records with the given trace seed
 // and fidelity tag (0 or 1 = full fidelity).
@@ -91,10 +84,11 @@ func NewDedupAt(seed uint64, fidelity int) *Dedup {
 	return &Dedup{seed: seed, fidelity: fidelity, recs: map[string]Record{}}
 }
 
-// Add reports whether rec is fresh — right seed and fidelity, digest not
-// seen before — and remembers it when it is.
+// Add reports whether rec is fresh — self-consistent (see Record.Valid),
+// right seed and fidelity, digest not seen before — and remembers its
+// canonical form when it is.
 func (d *Dedup) Add(rec Record) bool {
-	if rec.Seed != d.seed || rec.Fidelity != d.fidelity {
+	if !rec.valid() || rec.Seed != d.seed || rec.Fidelity != d.fidelity {
 		return false
 	}
 	if _, ok := d.recs[rec.Digest]; ok {
@@ -104,22 +98,19 @@ func (d *Dedup) Add(rec Record) bool {
 	return true
 }
 
-// Has reports whether the digest has been admitted.
-func (d *Dedup) Has(digest string) bool {
-	_, ok := d.recs[digest]
-	return ok
+// Get returns the admitted record for the digest, if any.
+func (d *Dedup) Get(digest string) (Record, bool) {
+	rec, ok := d.recs[digest]
+	return rec, ok
 }
-
-// Len counts the admitted records.
-func (d *Dedup) Len() int { return len(d.recs) }
 
 // Ordered assembles the admitted records covering the given point
 // enumeration, in enumeration order with indices rebound — the same merged
-// view Sweep and Merge produce. Points without a record are skipped.
+// view Sweep produces. Points without a record are skipped.
 func (d *Dedup) Ordered(points []Point) []Record {
 	var out []Record
-	for i, p := range points {
-		if rec, ok := d.recs[digestKey(p)]; ok {
+	for i, key := range DigestKeys(points) {
+		if rec, ok := d.recs[key]; ok {
 			rec.Index = i
 			out = append(out, rec)
 		}
@@ -128,27 +119,6 @@ func (d *Dedup) Ordered(points []Point) []Record {
 }
 
 // DigestKey renders a point digest the way checkpoints and record lines
-// store it (%016x) — the key Dedup and the result cache speak.
+// store it (%016x) — the key Dedup and the result cache speak. DigestKeys
+// renders a whole point set.
 func DigestKey(p Point) string { return digestKey(p) }
-
-// ShardDigests groups the unique point digests of each shard of an n-way
-// partition, by shard index — the coordinator's work-unit inventory. A point
-// set sampled with duplicates contributes each digest once, to the shard of
-// its first occurrence (matching Sweep's queued-digest skip).
-func ShardDigests(points []Point, shards int) ([][]string, error) {
-	if shards <= 0 {
-		return nil, fmt.Errorf("dse: non-positive shard count %d", shards)
-	}
-	out := make([][]string, shards)
-	seen := map[string]bool{}
-	for i, p := range points {
-		key := digestKey(p)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		s := i % shards
-		out[s] = append(out[s], key)
-	}
-	return out, nil
-}

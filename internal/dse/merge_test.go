@@ -2,10 +2,19 @@ package dse
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/accel"
+	"repro/internal/bundle"
 )
 
 func mergeTestPoints(t *testing.T) []Point {
@@ -114,11 +123,12 @@ func TestCheckpointWriterAppendLine(t *testing.T) {
 	}
 }
 
-// TestDedup pins seed scoping, digest dedup, and enumeration-ordered merge.
+// TestDedup pins seed scoping, validity, digest dedup, and
+// enumeration-ordered merge.
 func TestDedup(t *testing.T) {
 	pts := mergeTestPoints(t)
 	r0, r1 := Evaluate(pts[0], 1), Evaluate(pts[1], 1)
-	d := NewDedup(1)
+	d := NewDedupAt(1, 0)
 	if !d.Add(r0) {
 		t.Fatal("fresh record rejected")
 	}
@@ -130,11 +140,21 @@ func TestDedup(t *testing.T) {
 	if d.Add(wrong) {
 		t.Fatal("wrong-seed record admitted")
 	}
+	proxy := r1
+	proxy.Fidelity = 4
+	if d.Add(proxy) {
+		t.Fatal("wrong-fidelity record admitted")
+	}
+	malformed := r1
+	malformed.Opt = nil // a bishop record without its options
+	if d.Add(malformed) {
+		t.Fatal("malformed record admitted")
+	}
 	if !d.Add(r1) {
 		t.Fatal("second fresh record rejected")
 	}
-	if d.Len() != 2 || !d.Has(r0.Digest) || !d.Has(r1.Digest) {
-		t.Fatalf("dedup state: len=%d", d.Len())
+	if got, ok := d.Get(r1.Digest); !ok || got.Total != r1.Total {
+		t.Fatal("admitted record not returned by Get")
 	}
 	ordered := d.Ordered(pts)
 	if len(ordered) != 2 {
@@ -147,36 +167,165 @@ func TestDedup(t *testing.T) {
 	}
 }
 
-// TestShardDigests pins the coordinator's work-unit inventory: i mod n
-// assignment, duplicates counted once at their first occurrence, and the
-// shard union covering every unique digest exactly once.
-func TestShardDigests(t *testing.T) {
-	pts := mergeTestPoints(t)
-	dup := append(append([]Point{}, pts...), pts[0]) // sampled spaces repeat coordinates
-	shards, err := ShardDigests(dup, 2)
-	if err != nil {
+// sampledDupSpec draws six seeded-random points from a two-point space, so
+// the sample repeats coordinates: two distinct digests, one of them at
+// indices 0, 1, 3 and 5.
+func sampledDupSpec() SweepSpec {
+	return SweepSpec{Space: Space{Models: []int{4}, BSA: []bool{false}, ECPThetas: []int{0, 6}}, Random: 6, Seed: 1}
+}
+
+// TestUnits pins the sweep plan every runner shares: for every shard count,
+// each distinct digest is a unit of exactly one shard, the shard union is
+// the unsharded plan, every unit is its digest's first occurrence, and
+// Select restricts the plan without moving indices.
+func TestUnits(t *testing.T) {
+	grid := testSpace().Grid()
+	cases := map[string][]Point{
+		"grid":          grid,
+		"grid+repeats":  append(append([]Point{}, grid...), grid[0], grid[5], grid[0]),
+		"sampled":       sampledDupSpec().Points(),
+		"sampled-large": testSpace().Sample(40, 3),
+		"backends":      Space{Models: []int{4}, Backends: []string{"bishop", "ptb", "gpu"}, ECPThetas: []int{0, 6}}.Grid(),
+		"signed-zero":   signedZeroPoints(),
+	}
+	for name, pts := range cases {
+		keys := DigestKeys(pts)
+		for i, p := range pts {
+			if keys[i] != DigestKey(p) {
+				t.Fatalf("%s: DigestKeys[%d] = %s, DigestKey %s", name, i, keys[i], DigestKey(p))
+			}
+		}
+		first := map[string]int{}
+		for i, p := range pts {
+			if _, ok := first[DigestKey(p)]; !ok {
+				first[DigestKey(p)] = i
+			}
+		}
+		all := Config{}.Units(pts)
+		sel := []string{DigestKey(pts[all[len(all)-1]]), DigestKey(pts[all[0]])}
+		for _, selected := range [][]string{nil, sel} {
+			want := Config{Select: selected}.Units(pts)
+			wantN := len(first)
+			if selected != nil {
+				wantN = len(selected)
+			}
+			if len(want) != wantN {
+				t.Fatalf("%s select=%v: %d unsharded units, want %d", name, selected, len(want), wantN)
+			}
+			for _, n := range []int{1, 2, 3, 8} {
+				owner := map[string]int{}
+				var union []int
+				for s := 0; s < n; s++ {
+					for _, i := range (Config{Shard: s, Shards: n, Select: selected}).Units(pts) {
+						key := DigestKey(pts[i])
+						if prev, dup := owner[key]; dup {
+							t.Fatalf("%s n=%d: digest %s is a unit of shards %d and %d", name, n, key, prev, s)
+						}
+						owner[key] = s
+						if first[key] != i {
+							t.Fatalf("%s n=%d: unit %d is not the first occurrence (%d) of %s", name, n, i, first[key], key)
+						}
+						if i%n != s {
+							t.Fatalf("%s n=%d: unit %d planned for shard %d", name, n, i, s)
+						}
+						if selected != nil && !slices.Contains(selected, key) {
+							t.Fatalf("%s n=%d: unselected digest %s planned", name, n, key)
+						}
+						union = append(union, i)
+					}
+				}
+				slices.Sort(union)
+				if !slices.Equal(union, want) {
+					t.Fatalf("%s n=%d select=%v: shard union %v, unsharded units %v", name, n, selected, union, want)
+				}
+			}
+		}
+	}
+}
+
+// signedZeroPoints are two configurations that compare equal but encode
+// differently (an energy of +0 and of -0), so their digests differ.
+func signedZeroPoints() []Point {
+	pos := Point{Model: 4, Opt: accel.DefaultOptions()}
+	pos.Opt.Tech.EAnd = 0
+	neg := pos
+	neg.Opt.Tech.EAnd = math.Copysign(0, -1)
+	return []Point{pos, neg, pos, neg}
+}
+
+// TestSignedZeroCoversEveryFloat sets each float field of accel.Options,
+// found by reflection (behind the ECP pointer too), to negative zero in
+// turn: DigestKeys may only memoize a configuration whose == agrees with
+// its encoding.
+func TestSignedZeroCoversEveryFloat(t *testing.T) {
+	floats := 0
+	var walk func(typ reflect.Type, index []int)
+	walk = func(typ reflect.Type, index []int) {
+		switch typ.Kind() {
+		case reflect.Float32, reflect.Float64:
+			floats++
+			opt := accel.DefaultOptions()
+			opt.ECP = &bundle.ECPConfig{}
+			reflect.ValueOf(&opt).Elem().FieldByIndex(index).SetFloat(math.Copysign(0, -1))
+			if !signedZero(opt) {
+				t.Errorf("signedZero misses negative zero in accel.Options field %v", index)
+			}
+		case reflect.Pointer:
+			walk(typ.Elem(), index)
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(typ.Field(i).Type, append(slices.Clone(index), i))
+			}
+		}
+	}
+	walk(reflect.TypeOf(accel.Options{}), nil)
+	if floats == 0 || signedZero(accel.DefaultOptions()) {
+		t.Fatalf("walked %d float fields; default options signedZero=%v", floats, signedZero(accel.DefaultOptions()))
+	}
+}
+
+// TestShardedSampledCheckpointsMatchUnsharded is the sharded half of the
+// sweep contract on a sample that repeats coordinates: the shard
+// checkpoints hold exactly the lines of the unsharded checkpoint, so a
+// duplicate owned by shard 0 is never re-evaluated by shard 1.
+func TestShardedSampledCheckpointsMatchUnsharded(t *testing.T) {
+	spec := sampledDupSpec()
+	points := spec.Points()
+	dir := t.TempDir()
+	lines := func(paths ...string) []string {
+		var out []string
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(string(data), "\n") {
+				if line != "" {
+					out = append(out, line)
+				}
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	cfg := spec.Config()
+	cfg.Checkpoint = filepath.Join(dir, "all.jsonl")
+	if _, err := Sweep(context.Background(), points, cfg); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]int{}
-	total := 0
-	for _, sh := range shards {
-		for _, dg := range sh {
-			seen[dg]++
-			total++
+	var shardFiles []string
+	for s := 0; s < 2; s++ {
+		cfg := spec.Config()
+		cfg.Shard, cfg.Shards = s, 2
+		cfg.Checkpoint = filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", s))
+		if _, err := Sweep(context.Background(), points, cfg); err != nil {
+			t.Fatal(err)
 		}
+		shardFiles = append(shardFiles, cfg.Checkpoint)
 	}
-	if total != len(pts) {
-		t.Fatalf("shard union has %d digests, want %d unique", total, len(pts))
-	}
-	for dg, n := range seen {
-		if n != 1 {
-			t.Fatalf("digest %s assigned to %d shards", dg, n)
-		}
-	}
-	if got := DigestKey(dup[0]); shards[0][0] != got {
-		t.Fatalf("first digest %s not in shard 0 first slot (%v)", got, shards[0])
-	}
-	if _, err := ShardDigests(pts, 0); err == nil {
-		t.Fatal("ShardDigests(0) accepted")
+	want, got := lines(cfg.Checkpoint), lines(shardFiles...)
+	if !slices.Equal(got, want) {
+		t.Fatalf("shard checkpoints hold %d lines, unsharded %d:\n%s\nwant\n%s",
+			len(got), len(want), strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

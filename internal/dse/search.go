@@ -162,17 +162,7 @@ func (s SearchSpec) Digest() uint64 {
 	c := s.Normalized()
 	c.Space = c.Space.normalized()
 	c.Checkpoint, c.TraceDir, c.Jobs = "", "", 0
-	data, err := json.Marshal(c)
-	if err != nil {
-		panic(fmt.Sprintf("dse: SearchSpec not marshalable: %v", err)) // unreachable: all fields are plain values
-	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	return hw.DigestJSON(c)
 }
 
 // ID renders the spec digest the way the daemon names jobs: %016x.
@@ -252,16 +242,12 @@ func Search(ctx context.Context, spec SearchSpec, run RungRunner) (*SearchResult
 		}
 	}
 
-	// Distinct candidate digests in enumeration order (sampled point sets
-	// repeat coordinates; each digest is one candidate).
+	// The candidates are the units of the unrestricted sweep: distinct
+	// digests in enumeration order.
+	keys := DigestKeys(spec.Points())
 	var cands []string
-	seen := map[string]bool{}
-	for _, p := range spec.Points() {
-		key := digestKey(p)
-		if !seen[key] {
-			seen[key] = true
-			cands = append(cands, key)
-		}
+	for _, i := range (Config{}).units(keys) {
+		cands = append(cands, keys[i])
 	}
 
 	res := &SearchResult{}

@@ -71,12 +71,14 @@ func (p Point) BackendName() string {
 // backend.Backend digest, which cannot collide with it.
 func (p Point) Digest() uint64 {
 	p = p.canon()
-	var h uint64
 	if p.Backend != nil {
-		h = p.Backend.Digest()
-	} else {
-		h = p.Opt.Digest()
+		return p.fold(p.Backend.Digest())
 	}
+	return p.fold(p.Opt.Digest())
+}
+
+// fold mixes the workload coordinates into a configuration digest.
+func (p Point) fold(h uint64) uint64 {
 	const prime64 = 1099511628211
 	h ^= uint64(p.Model)
 	h *= prime64

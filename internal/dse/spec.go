@@ -157,17 +157,7 @@ func (s SweepSpec) Digest() uint64 {
 	c := s.Normalized()
 	c.Space = c.Space.normalized()
 	c.Checkpoint, c.TraceDir, c.Jobs = "", "", 0
-	data, err := json.Marshal(c)
-	if err != nil {
-		panic(fmt.Sprintf("dse: SweepSpec not marshalable: %v", err)) // unreachable: all fields are plain values
-	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	return hw.DigestJSON(c)
 }
 
 // ID renders the spec digest the way the daemon names jobs (and checkpoints

@@ -83,8 +83,8 @@ type Result struct {
 type coordinator struct {
 	cfg    Config
 	spec   dse.SweepSpec
-	points []dse.Point
-	shards [][]string // digest inventory per shard
+	shards [][]int  // unit indices per shard (dse.Config.Units)
+	keys   []string // digest key per point
 	table  *leaseTable
 
 	mu       sync.Mutex
@@ -133,12 +133,12 @@ func (c *coordinator) ingest(worker string, line []byte) bool {
 	return true
 }
 
-// covered reports whether every digest of the shard is merged.
+// covered reports whether every unit of the shard is merged.
 func (c *coordinator) covered(shard int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, dg := range c.shards[shard] {
-		if !c.dedup.Has(dg) {
+	for _, i := range c.shards[shard] {
+		if _, ok := c.dedup.Get(c.keys[i]); !ok {
 			return false
 		}
 	}
@@ -285,27 +285,13 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	points := spec.Points()
-	shards, err := dse.ShardDigests(points, cfg.Shards)
-	if err != nil {
-		return Result{}, err
-	}
-	if len(spec.Select) > 0 {
-		// A survivor-restricted spec (a search rung) only ever produces
-		// records for the selected digests; an unfiltered inventory would
-		// keep every shard "incomplete" forever.
-		sel := make(map[string]bool, len(spec.Select))
-		for _, d := range spec.Select {
-			sel[d] = true
-		}
-		for i, digests := range shards {
-			kept := digests[:0]
-			for _, d := range digests {
-				if sel[d] {
-					kept = append(kept, d)
-				}
-			}
-			shards[i] = kept
-		}
+	// The shard inventory: each shard's units, the points its worker's
+	// dse.Sweep evaluates (survivor-restricted for a search rung).
+	shards := make([][]int, cfg.Shards)
+	for s := range shards {
+		sc := spec.Config()
+		sc.Shard, sc.Shards = s, cfg.Shards
+		shards[s] = sc.Units(points)
 	}
 
 	ckpt, err := dse.OpenCheckpointWriter(cfg.Checkpoint)
@@ -317,8 +303,8 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 	c := &coordinator{
 		cfg:      cfg,
 		spec:     spec,
-		points:   points,
 		shards:   shards,
+		keys:     dse.DigestKeys(points),
 		table:    newLeaseTable(cfg.Shards, cfg.LeaseTTL, nil),
 		dedup:    dse.NewDedupAt(spec.Seed, spec.Fidelity),
 		ckpt:     ckpt,
@@ -398,12 +384,20 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("fleet: %d shards incomplete (all workers exhausted)", n)
 	}
 
-	recs := c.dedup.Ordered(points)
-	if err := compactCheckpoint(cfg.Checkpoint, recs); err != nil {
+	// The compacted file holds one record per unit of the unsharded sweep,
+	// in unit order: the lines a Jobs: 1 unsharded dse.Sweep appends. No
+	// shard remains, so every unit has its record.
+	units := spec.Config().Units(points)
+	unitRecs := make([]dse.Record, len(units))
+	for k, i := range units {
+		unitRecs[k], _ = c.dedup.Get(c.keys[i])
+		unitRecs[k].Index = i
+	}
+	if err := compactCheckpoint(cfg.Checkpoint, unitRecs); err != nil {
 		return Result{}, err
 	}
 	res := Result{
-		Records:       recs,
+		Records:       c.dedup.Ordered(points),
 		Points:        len(points),
 		Resumed:       resumed,
 		Fresh:         c.fresh,
@@ -414,8 +408,8 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 }
 
 // compactCheckpoint atomically replaces the arrival-order merge log with the
-// enumeration-ordered record set — the exact bytes an unsharded dse.Sweep
-// checkpoint of the same spec holds.
+// unit-ordered record set — the exact bytes an unsharded, single-evaluator
+// dse.Sweep checkpoint of the same spec holds.
 func compactCheckpoint(path string, recs []dse.Record) error {
 	tmp := path + ".compact"
 	w, err := dse.OpenCheckpointWriter(tmp)

@@ -74,34 +74,46 @@ func fleetWorkerConfig() WorkerConfig {
 
 // TestFleetMergeByteIdentical pins the tentpole identity on a healthy
 // fleet: three workers, three shards, merged checkpoint byte-identical to
-// the unsharded run.
+// the unsharded run — for a grid, and for a seeded-random sample whose
+// repeated coordinates must merge to one line per distinct point.
 func TestFleetMergeByteIdentical(t *testing.T) {
-	spec := fleetSpec()
-	want := referenceCheckpoint(t, spec)
-	var workers []string
-	for i := 0; i < 3; i++ {
-		workers = append(workers, newWorkerServer(t, serve.ManagerConfig{}).URL)
+	specs := map[string]dse.SweepSpec{
+		"grid": fleetSpec(),
+		"sampled": {Space: dse.Space{Models: []int{4}, BSA: []bool{false}, ECPThetas: []int{0, 6}},
+			Random: 6, Seed: 1},
 	}
-	ck := filepath.Join(t.TempDir(), "merged.jsonl")
-	res, err := Run(context.Background(), spec, Config{
-		Workers:    workers,
-		Checkpoint: ck,
-		LeaseTTL:   10 * time.Second,
-		Worker:     fleetWorkerConfig(),
-		Logf:       t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("fleet run: %v", err)
-	}
-	got, err := os.ReadFile(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("merged checkpoint differs from unsharded run:\n%d vs %d bytes", len(got), len(want))
-	}
-	if res.Fresh != len(spec.Points()) || res.Resumed != 0 {
-		t.Fatalf("fresh=%d resumed=%d, want %d/0", res.Fresh, res.Resumed, len(spec.Points()))
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			want := referenceCheckpoint(t, spec)
+			var workers []string
+			for i := 0; i < 3; i++ {
+				workers = append(workers, newWorkerServer(t, serve.ManagerConfig{}).URL)
+			}
+			ck := filepath.Join(t.TempDir(), "merged.jsonl")
+			res, err := Run(context.Background(), spec, Config{
+				Workers:    workers,
+				Checkpoint: ck,
+				LeaseTTL:   10 * time.Second,
+				Worker:     fleetWorkerConfig(),
+				Logf:       t.Logf,
+			})
+			if err != nil {
+				t.Fatalf("fleet run: %v", err)
+			}
+			got, err := os.ReadFile(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("merged checkpoint differs from unsharded run:\n%d vs %d bytes (%d vs %d lines)",
+					len(got), len(want), bytes.Count(got, []byte("\n")), bytes.Count(want, []byte("\n")))
+			}
+			points := spec.Points()
+			units := len(dse.Config{}.Units(points))
+			if res.Fresh != units || res.Resumed != 0 || len(res.Records) != len(points) {
+				t.Fatalf("fresh=%d resumed=%d records=%d, want %d/0/%d", res.Fresh, res.Resumed, len(res.Records), units, len(points))
+			}
+		})
 	}
 }
 

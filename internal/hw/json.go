@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 )
 
@@ -151,3 +152,18 @@ func decodeStrict(data []byte, v any) error {
 // serialize configurations referencing hw types (accel.Options, the DSE
 // checkpoint records).
 func DecodeStrict(data []byte, v any) error { return decodeStrict(data, v) }
+
+// DigestJSON is the repository's configuration fingerprint: a 64-bit FNV-1a
+// over the JSON encoding of v. Go's encoder emits struct fields in
+// declaration order, so callers that pass a normalized value get a digest
+// that is stable across processes and input spellings. It panics when v
+// does not marshal; every caller digests a struct of plain values.
+func DigestJSON(v any) uint64 {
+	data, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("hw: %T not marshalable: %v", v, err))
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	return h.Sum64()
+}

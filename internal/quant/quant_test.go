@@ -5,8 +5,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/snn"
 	"repro/internal/tensor"
+	"repro/internal/train"
+	"repro/internal/transformer"
 )
 
 func TestQuantizeRoundTripBound(t *testing.T) {
@@ -99,5 +102,27 @@ func TestStringer(t *testing.T) {
 	q := Quantize(tensor.NewMat(2, 3))
 	if q.String() == "" {
 		t.Fatal("empty string")
+	}
+}
+
+// TestQuantizedTrainedModelKeepsAccuracy is the deployment claim (§6.1):
+// quantizing a trained spiking transformer to 8-bit weights costs one byte
+// per weight and keeps its test accuracy within a small margin.
+func TestQuantizedTrainedModelKeepsAccuracy(t *testing.T) {
+	ds := dataset.CIFAR10Like(80, 40, 9)
+	m := transformer.NewModel(transformer.Config{Name: "quant-tiny", Blocks: 2, T: 4, N: ds.N,
+		D: 32, Heads: 4, MLPRatio: 2, PatchDim: ds.PatchD, Classes: ds.Classes,
+		LIF: snn.DefaultLIF()}, 1)
+	trainer := &train.Trainer{Model: m, Opt: train.NewAdamW(0.002, 1e-4), ClipL2: 5}
+	before := trainer.Run(ds, 4)
+	footprint, maxErr := QuantizeParams(m.Params())
+	after := trainer.Evaluate(ds)
+	t.Logf("int8 footprint %d B, max weight error %.4g, accuracy %.3f -> %.3f",
+		footprint, maxErr, before, after)
+	if footprint != m.NumParams() {
+		t.Fatalf("footprint %d want one byte per weight (%d)", footprint, m.NumParams())
+	}
+	if after < before-0.1 {
+		t.Fatalf("int8 deployment lost too much accuracy: %.3f -> %.3f", before, after)
 	}
 }

@@ -26,11 +26,6 @@ type Cache struct {
 	Dir string
 }
 
-// Path returns where the full-fidelity record for (digest, seed) lives.
-func (c Cache) Path(digest string, seed uint64) string {
-	return c.PathAt(digest, seed, 0)
-}
-
 // PathAt returns where the record for (digest, seed, fidelity) lives.
 // Full fidelity (0 or 1) keeps the legacy <digest>.s<seed>.json name, so
 // caches populated before the fidelity axis existed keep serving hits;
@@ -42,16 +37,12 @@ func (c Cache) PathAt(digest string, seed uint64, fidelity int) string {
 	return filepath.Join(c.Dir, fmt.Sprintf("%s.s%d.f%d.json", digest, seed, fidelity))
 }
 
-// Load returns the cached full-fidelity record for (digest, seed). A miss —
+// LoadAt returns the cached record for (digest, seed, fidelity). A miss —
 // absent, unreadable, corrupt, or mislabeled entry — reports ok=false;
-// corrupt entries are never fatal, the point simply re-evaluates.
-func (c Cache) Load(digest string, seed uint64) (dse.Record, bool) {
-	return c.LoadAt(digest, seed, 0)
-}
-
-// LoadAt is Load for an arbitrary fidelity. The fidelity check matters even
-// though the path already encodes it: a renamed or hand-placed entry must
-// not satisfy an evaluation at a different fidelity.
+// corrupt entries are never fatal, the point simply re-evaluates. The
+// fidelity check matters even though the path already encodes it: a renamed
+// or hand-placed entry must not satisfy an evaluation at a different
+// fidelity.
 func (c Cache) LoadAt(digest string, seed uint64, fidelity int) (dse.Record, bool) {
 	if fidelity <= 1 {
 		fidelity = 0

@@ -29,7 +29,7 @@ func TestCacheIgnoresStaleTempFiles(t *testing.T) {
 	}
 
 	// Lookups see a clean miss, not the garbage.
-	if _, ok := cache.Load(key, 1); ok {
+	if _, ok := cache.LoadAt(key, 1, 0); ok {
 		t.Fatal("lookup served a stale temp file")
 	}
 
@@ -41,7 +41,7 @@ func TestCacheIgnoresStaleTempFiles(t *testing.T) {
 	if res.CacheMisses != len(spec.Points()) {
 		t.Fatalf("cold run over littered dir: %d misses, want %d", res.CacheMisses, len(spec.Points()))
 	}
-	rec, ok := cache.Load(key, 1)
+	rec, ok := cache.LoadAt(key, 1, 0)
 	if !ok {
 		t.Fatal("published entry not served after stale-temp litter")
 	}
@@ -83,16 +83,16 @@ func TestCacheCorruptOverwriteIsMissThenRepaired(t *testing.T) {
 	}
 	p := spec.Points()[0]
 	key := fmt.Sprintf("%016x", p.Digest())
-	good, ok := cache.Load(key, 1)
+	good, ok := cache.LoadAt(key, 1, 0)
 	if !ok {
 		t.Fatal("expected entry before corruption")
 	}
 
 	// Clobber the published entry in place with a torn document.
-	if err := os.WriteFile(cache.Path(key, 1), []byte(`{"index":0,"dig`), 0o644); err != nil {
+	if err := os.WriteFile(cache.PathAt(key, 1, 0), []byte(`{"index":0,"dig`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.Load(key, 1); ok {
+	if _, ok := cache.LoadAt(key, 1, 0); ok {
 		t.Fatal("corrupt overwrite served as a hit")
 	}
 
@@ -114,7 +114,7 @@ func TestCacheCorruptOverwriteIsMissThenRepaired(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if rec, ok := cache.Load(key, 1); ok {
+				if rec, ok := cache.LoadAt(key, 1, 0); ok {
 					if rec.Digest != key || !rec.Valid() {
 						t.Errorf("reader observed a partial record: %+v", rec)
 						return
@@ -124,7 +124,7 @@ func TestCacheCorruptOverwriteIsMissThenRepaired(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	repaired, ok := cache.Load(key, 1)
+	repaired, ok := cache.LoadAt(key, 1, 0)
 	if !ok || repaired.Digest != key {
 		t.Fatalf("entry not repaired: ok=%v digest=%s", ok, repaired.Digest)
 	}

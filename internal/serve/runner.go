@@ -10,7 +10,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/dse"
 	"repro/internal/workload"
@@ -18,9 +17,9 @@ import (
 
 // RunOptions attaches the serving-layer machinery to one spec execution.
 type RunOptions struct {
-	// Cache, when non-nil, is consulted for every shard-assigned point
-	// before the sweep starts (hits are adopted without simulation) and
-	// receives every fresh record as it completes.
+	// Cache, when non-nil, is consulted for every unit of the spec's sweep
+	// (dse.Config.Units) before the sweep starts — hits are adopted without
+	// simulation — and receives every fresh record as it completes.
 	Cache *Cache
 
 	// OnRecord, when non-nil, observes every record the run contributes, as
@@ -34,9 +33,9 @@ type RunOptions struct {
 // RunResult is the outcome of one spec execution.
 type RunResult struct {
 	Set *dse.ResultSet
-	// CacheHits counts shard-assigned points adopted from the result cache;
-	// CacheMisses counts fresh evaluations (each published back to the
-	// cache when one is attached).
+	// CacheHits counts units adopted from the result cache; CacheMisses
+	// counts fresh evaluations (each published back to the cache when one
+	// is attached).
 	CacheHits, CacheMisses int
 
 	// Search carries the rung progression of a RunSearch execution; nil for
@@ -62,24 +61,8 @@ func Run(ctx context.Context, spec dse.SweepSpec, opt RunOptions) (*RunResult, e
 	res := &RunResult{}
 
 	if opt.Cache != nil {
-		var sel map[string]bool
-		if cfg.Select != nil {
-			sel = make(map[string]bool, len(cfg.Select))
-			for _, d := range cfg.Select {
-				sel[d] = true
-			}
-		}
-		seen := map[string]bool{}
-		for i, p := range points {
-			if i%cfg.Shards != cfg.Shard {
-				continue
-			}
-			key := fmt.Sprintf("%016x", p.Digest())
-			if seen[key] || (sel != nil && !sel[key]) {
-				continue
-			}
-			seen[key] = true
-			if rec, ok := opt.Cache.LoadAt(key, cfg.Seed, cfg.Fidelity); ok {
+		for _, i := range cfg.Units(points) {
+			if rec, ok := opt.Cache.LoadAt(dse.DigestKey(points[i]), cfg.Seed, cfg.Fidelity); ok {
 				rec.Index = i
 				cfg.Preloaded = append(cfg.Preloaded, rec)
 				res.CacheHits++

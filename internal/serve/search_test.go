@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,8 +31,11 @@ func TestCacheFidelityScoped(t *testing.T) {
 	p := tinySearch().Points()[0]
 	key := fmt.Sprintf("%016x", p.Digest())
 
-	if got, legacy := c.PathAt(key, 1, 0), c.Path(key, 1); got != legacy {
-		t.Fatalf("full-fidelity path %q != legacy path %q", got, legacy)
+	legacy := filepath.Join(c.Dir, key+".s1.json")
+	for _, f := range []int{0, 1} {
+		if got := c.PathAt(key, 1, f); got != legacy {
+			t.Fatalf("fidelity-%d path %q != legacy path %q", f, got, legacy)
+		}
 	}
 	if c.PathAt(key, 1, 8) == c.PathAt(key, 1, 0) {
 		t.Fatal("fidelity-8 and full-fidelity records must not share a cache path")

@@ -296,7 +296,7 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request) {
 
 	cacheState := "off"
 	if c := s.mgr.cfg.Cache; c != nil {
-		if rec, ok := c.Load(key, seed); ok {
+		if rec, ok := c.LoadAt(key, seed, 0); ok {
 			w.Header().Set("X-Result-Cache", "hit")
 			writeJSON(w, http.StatusOK, rec)
 			return

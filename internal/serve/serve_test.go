@@ -421,25 +421,25 @@ func TestCacheRejectsCorruptEntries(t *testing.T) {
 	}
 	p := spec.Points()[0]
 	key := fmt.Sprintf("%016x", p.Digest())
-	if _, ok := cache.Load(key, 1); !ok {
+	if _, ok := cache.LoadAt(key, 1, 0); !ok {
 		t.Fatal("expected cache hit before corruption")
 	}
-	path := cache.Path(key, 1)
+	path := cache.PathAt(key, 1, 0)
 	if err := os.WriteFile(path, []byte(`{"index":0`), 0o644); err != nil { // torn write
 		t.Fatal(err)
 	}
-	if _, ok := cache.Load(key, 1); ok {
+	if _, ok := cache.LoadAt(key, 1, 0); ok {
 		t.Fatal("corrupt cache entry served")
 	}
 	// A record whose digest does not match its filename is rejected too.
-	data, err := os.ReadFile(cache.Path(fmt.Sprintf("%016x", spec.Points()[1].Digest()), 1))
+	data, err := os.ReadFile(cache.PathAt(fmt.Sprintf("%016x", spec.Points()[1].Digest()), 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.Load(key, 1); ok {
+	if _, ok := cache.LoadAt(key, 1, 0); ok {
 		t.Fatal("mislabeled cache entry served")
 	}
 }

@@ -3,23 +3,33 @@ package snn
 import (
 	"testing"
 
+	"repro/internal/spike"
 	"repro/internal/tensor"
 )
 
 // TestForwardSpikesZeroAllocSteadyState pins the zero-alloc contract of the
 // spike-driven GEMM: after one warm-up call sizes the pooled output
 // matrices and index buffer, repeated forwards on same-shape inputs must
-// not touch the heap.
+// not touch the heap. The bench inputs are the gated
+// BenchmarkLinearForwardSpikes's, so its 0 allocs/op baseline is exact.
 func TestForwardSpikesZeroAllocSteadyState(t *testing.T) {
 	rng := tensor.NewRNG(21)
-	l := NewLinear("alloc.fs", 384, 384, true, rng)
-	s := randomSpikes(rng, 4, 196, 384, 0.12)
-	l.ForwardSpikes(s) // warm the pools
-
-	if allocs := testing.AllocsPerRun(10, func() {
-		l.ForwardSpikes(s)
-	}); allocs != 0 {
-		t.Fatalf("ForwardSpikes steady state allocates %.1f objects/run, want 0", allocs)
+	biased := NewLinear("alloc.fs", 384, 384, true, rng)
+	benchL, benchS := benchGEMMInputs()
+	for _, tc := range []struct {
+		name string
+		l    *Linear
+		s    *spike.Tensor
+	}{
+		{"bias", biased, randomSpikes(rng, 4, 196, 384, 0.12)},
+		{"bench", benchL, benchS},
+	} {
+		tc.l.ForwardSpikes(tc.s) // warm the pools
+		if allocs := testing.AllocsPerRun(10, func() {
+			tc.l.ForwardSpikes(tc.s)
+		}); allocs != 0 {
+			t.Fatalf("%s: ForwardSpikes steady state allocates %.1f objects/run, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -99,6 +99,7 @@ func benchGEMMInputs() (*Linear, *spike.Tensor) {
 
 func BenchmarkLinearForwardSpikes(b *testing.B) {
 	l, s := benchGEMMInputs()
+	l.ForwardSpikes(s) // size the pooled outputs: time the steady state, not the cold first call
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = l.ForwardSpikes(s)

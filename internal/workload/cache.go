@@ -2,14 +2,12 @@ package workload
 
 import (
 	"container/list"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/fnv"
 	"os"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/hw"
 	"repro/internal/tracefile"
 	"repro/internal/transformer"
 )
@@ -184,19 +182,13 @@ const traceGenVersion = 1
 // default spellings (the zero Shape and an explicit DefaultShape digest
 // identically).
 func TraceDigest(cfg transformer.Config, sc Scenario, opt TraceOptions, seed uint64) uint64 {
-	data, err := json.Marshal(struct {
+	return hw.DigestJSON(struct {
 		Gen  int
 		Cfg  transformer.Config
 		Sc   Scenario
 		Opt  TraceOptions
 		Seed uint64
 	}{traceGenVersion, cfg, sc, opt.normalized(), seed})
-	if err != nil {
-		panic(fmt.Sprintf("workload: trace key not marshalable: %v", err)) // unreachable: all fields are plain values
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
 }
 
 // materializeTrace produces the trace for a cache miss: from the disk store
