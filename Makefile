@@ -8,7 +8,7 @@ GO ?= go
 # uploadable locations and local runs find under $(SMOKE_DIR)).
 SMOKE_DIR ?= .smoke
 
-.PHONY: build test race bench bench-json bench-gate bench-baseline dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke smoke-clean fmt fmt-check vet lint ci
+.PHONY: build test race bench bench-json bench-gate bench-baseline perfbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke smoke-clean fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,16 @@ bench-baseline:
 		{ echo "bench-baseline measurement failed" >&2; rm -f $(BENCH_BASELINE).tmp; exit 1; }
 	@mv $(BENCH_BASELINE).tmp $(BENCH_BASELINE)
 	@echo "wrote $(BENCH_BASELINE)"
+
+# The frozen end-to-end benchmark (perfbench/) is its own Go module, so
+# `go test ./...` stops at its boundary: a change to a signature it calls or
+# to the records it digests would go unseen. Vet and test the module, then
+# run one short seeded grid-cold pass, which exits nonzero when its record
+# digest no longer matches perfbench/pins.json. Everything the run builds or
+# writes stays under .bench_build/.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	bash perfbench/run.sh --workload grid-cold --seed 1 --seconds 2 --trace 0
 
 # Tiny end-to-end DSE sweep (2 shapes x 2 ECP settings) through cmd/dse:
 # exercises sweep -> checkpoint -> frontier and fails if the frontier JSON
@@ -327,4 +337,4 @@ vet:
 lint:
 	$(GO) run ./cmd/bishoplint ./...
 
-ci: build fmt-check vet lint race bench bench-gate dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke
+ci: build fmt-check vet lint race bench bench-gate perfbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke

@@ -1,9 +1,9 @@
 package bundle
 
 // Microbenchmarks for TTB tagging: Retag into a reused Tags, the
-// simulator's steady state, against the naive per-(feature, bundle)
-// CountBlock reference. The tensor matches the Model-2 activation tensors
-// the hardware model tags per layer.
+// simulator's steady state, against Counts, the naive per-(feature,
+// bundle) CountBlock tag grid. The tensor matches the Model-2 activation
+// tensors the hardware model tags per layer.
 
 import (
 	"fmt"
@@ -47,6 +47,6 @@ func BenchmarkTagNaive(b *testing.B) {
 	s := benchSpikes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = naiveTag(s, DefaultShape)
+		_ = Counts(s, DefaultShape)
 	}
 }

@@ -48,21 +48,20 @@ func (s Shape) validate() {
 	}
 }
 
-// Tags holds the L0 activity tags Z of every bundle of a spike tensor
-// (Eq. 9) together with the reductions of them that the stratifier
-// (Alg. 1), the core models and ECP (§5.1) read: per-feature active-bundle,
-// spike and max-per-bundle counts, the per-row n_ab, and the totals. Retag
-// computes all of them in one pass over the tensor; they are unexported so
-// nothing can change the tags without the statistics following.
+// Tags holds the reductions of the L0 activity tags Z of a spike tensor's
+// bundles (Eq. 9) that the stratifier (Alg. 1), the core models and ECP
+// (§5.1) read: per-feature active-bundle and spike counts, the per-row
+// n_ab, and the totals. Retag computes all of them in one pass over the
+// tensor without assembling any per-bundle tag; they are unexported so
+// nothing can change the tensor's statistics piecemeal. Counts returns the
+// tags themselves.
 type Tags struct {
 	Shape    Shape
 	T, N, D  int
 	NBt, NBn int
 
-	counts        []int // counts[(bt·NBn+bn)·D+d]: spikes in bundle (bt, bn) of feature d
 	activePerFeat []int
 	spikesPerFeat []int
-	maxPerFeat    []int
 	activePerRow  []int
 	activeBundles int
 	spikes        int
@@ -75,29 +74,27 @@ func Tag(s *spike.Tensor, sh Shape) *Tags {
 	return tg
 }
 
-// Retag recomputes the tags of s and every statistic derived from them
-// into tg, reusing tg's buffers when their capacity suffices. It is the
-// zero-alloc form of Tag for steady-state simulation loops, and the only
-// pass over the tensor: the accessors below read what it cached.
+// Retag recomputes every statistic of s into tg, reusing tg's buffers
+// when their capacity suffices. It is the zero-alloc form of Tag for
+// steady-state simulation loops, and the only pass over the tensor: the
+// accessors below read what it cached.
 //
 // The scan is bit-sliced (the carry-save counting of Muła, Kurz & Lemire,
 // "Faster Population Counts Using AVX2 Instructions", 2018, in portable
 // Go). For each bundle row and each 64-feature word, the row's token words
 // are ripple-carry added into vertical counter planes, so plane p holds bit
-// p of all 64 features' bundle counts at once. Each set bit of plane p adds
-// 2^p to its tag, and the OR of the planes is the word's active mask, whose
-// set bits update the per-feature statistics. The work is one pass over the
-// tensor words plus a few visits per active bundle, instead of one
-// increment per spike and a dense pass over the tag grid per statistic.
+// p of all 64 features' bundle tags at once. Each set bit of plane p adds
+// 2^p to its feature's spike count, and the OR of the planes is the word's
+// active mask, whose set bits count the feature's active bundles. The work
+// is one pass over the tensor words plus a few visits per active bundle,
+// instead of one increment per spike.
 func (tg *Tags) Retag(s *spike.Tensor, sh Shape) {
 	sh.validate()
 	nbt := (s.T + sh.BSt - 1) / sh.BSt
 	nbn := (s.N + sh.BSn - 1) / sh.BSn
 	tg.Shape, tg.T, tg.N, tg.D, tg.NBt, tg.NBn = sh, s.T, s.N, s.D, nbt, nbn
-	tg.counts = resizeInts(tg.counts, nbt*nbn*s.D)
 	tg.activePerFeat = resizeInts(tg.activePerFeat, s.D)
 	tg.spikesPerFeat = resizeInts(tg.spikesPerFeat, s.D)
-	tg.maxPerFeat = resizeInts(tg.maxPerFeat, s.D)
 	tg.activePerRow = resizeInts(tg.activePerRow, nbt*nbn)
 	tg.activeBundles, tg.spikes = 0, 0
 
@@ -107,13 +104,11 @@ func (tg *Tags) Retag(s *spike.Tensor, sh Shape) {
 	var planeBuf [bits.UintSize]uint64
 	planes := planeBuf[:bits.Len(uint(sh.Volume()))]
 	words, wpr := s.Words(), s.WordsPerRow()
-	apf, spf, mpf := tg.activePerFeat, tg.spikesPerFeat, tg.maxPerFeat
+	apf, spf := tg.activePerFeat, tg.spikesPerFeat
 	for bt := 0; bt < nbt; bt++ {
 		t0, t1 := bt*sh.BSt, min((bt+1)*sh.BSt, s.T)
 		for bn := 0; bn < nbn; bn++ {
 			n0, n1 := bn*sh.BSn, min((bn+1)*sh.BSn, s.N)
-			row := bt*nbn + bn
-			counts := tg.counts[row*s.D : (row+1)*s.D]
 			var nab, spikes int
 			for wi := 0; wi < wpr; wi++ {
 				clear(planes)
@@ -129,32 +124,41 @@ func (tg *Tags) Retag(s *spike.Tensor, sh Shape) {
 					active |= pl
 					spikes += bits.OnesCount64(pl) << p
 					for m := pl; m != 0; m &= m - 1 {
-						counts[wi<<6+bits.TrailingZeros64(m)] += 1 << p
+						spf[wi<<6+bits.TrailingZeros64(m)] += 1 << p
 					}
 				}
 				nab += bits.OnesCount64(active)
 				for m := active; m != 0; m &= m - 1 {
-					d := wi<<6 + bits.TrailingZeros64(m)
-					c := counts[d]
-					apf[d]++
-					spf[d] += c
-					mpf[d] = max(mpf[d], c)
+					apf[wi<<6+bits.TrailingZeros64(m)]++
 				}
 			}
-			tg.activePerRow[row] = nab
+			tg.activePerRow[bt*nbn+bn] = nab
 			tg.activeBundles += nab
 			tg.spikes += spikes
 		}
 	}
 }
 
-// Count returns the L0 tag of bundle (bt, bn, d).
-func (tg *Tags) Count(bt, bn, d int) int {
-	return tg.counts[(bt*tg.NBn+bn)*tg.D+d]
+// Counts returns the L0 tag of every bundle of s under sh: element
+// (bt·NBn+bn)·D+d is the number of spikes in bundle (bt, bn) of feature d.
+// It is one CountBlock per (bundle, feature) pair, for the readers that
+// need each tag rather than Retag's reductions of them: the structured BSA
+// loss, and the references the fused scan is tested against.
+func Counts(s *spike.Tensor, sh Shape) []int {
+	sh.validate()
+	nbt := (s.T + sh.BSt - 1) / sh.BSt
+	nbn := (s.N + sh.BSn - 1) / sh.BSn
+	counts := make([]int, nbt*nbn*s.D)
+	for bt := 0; bt < nbt; bt++ {
+		for bn := 0; bn < nbn; bn++ {
+			base := (bt*nbn + bn) * s.D
+			for d := 0; d < s.D; d++ {
+				counts[base+d] = s.CountBlock(bt*sh.BSt, (bt+1)*sh.BSt, bn*sh.BSn, (bn+1)*sh.BSn, d)
+			}
+		}
+	}
+	return counts
 }
-
-// Active reports whether bundle (bt, bn, d) contains at least one spike.
-func (tg *Tags) Active(bt, bn, d int) bool { return tg.Count(bt, bn, d) > 0 }
 
 // TotalBundles returns the number of bundles per feature times D.
 func (tg *Tags) TotalBundles() int { return tg.NBt * tg.NBn * tg.D }
@@ -172,10 +176,6 @@ func (tg *Tags) BundleDensity() float64 {
 // equals the L_bsp contribution of this tensor (Eq. 10).
 func (tg *Tags) SpikeCount() int { return tg.spikes }
 
-// copyInts returns src copied into dst, reusing dst's backing array when
-// the capacity allows — the scratch idiom of the Into accessors below.
-func copyInts(dst, src []int) []int { return append(dst[:0], src...) }
-
 // ActivePerFeature returns, for each feature d, the number of active bundles
 // in its column. This is the per-feature statistic histogrammed in Fig. 5
 // and the column sparsity Alg. 1 thresholds on.
@@ -186,39 +186,19 @@ func (tg *Tags) ActivePerFeature() []int {
 // ActivePerFeatureInto is ActivePerFeature writing into dst (resized and
 // reused when capacity allows).
 func (tg *Tags) ActivePerFeatureInto(dst []int) []int {
-	return copyInts(dst, tg.activePerFeat)
+	return append(dst[:0], tg.activePerFeat...)
 }
 
 // SpikesPerFeature returns the raw spike count per feature column.
 func (tg *Tags) SpikesPerFeature() []int {
-	return tg.SpikesPerFeatureInto(nil)
-}
-
-// SpikesPerFeatureInto is SpikesPerFeature writing into dst (resized and
-// reused when capacity allows).
-func (tg *Tags) SpikesPerFeatureInto(dst []int) []int {
-	return copyInts(dst, tg.spikesPerFeat)
-}
-
-// MaxPerFeatureInto writes, for each feature d, the largest tag in its
-// column — the most spikes any one of its bundles holds, which bounds the
-// lockstep schedule of the systolic dense core — into dst (resized and
-// reused when capacity allows).
-func (tg *Tags) MaxPerFeatureInto(dst []int) []int {
-	return copyInts(dst, tg.maxPerFeat)
+	return slices.Clone(tg.spikesPerFeat)
 }
 
 // ActivePerRow returns n_ab for each bundle row (bt, bn): the number of
 // features whose bundle in that row is active. This is the quantity ECP
 // compares against the pruning threshold θ_p (§5.1).
 func (tg *Tags) ActivePerRow() []int {
-	return tg.ActivePerRowInto(nil)
-}
-
-// ActivePerRowInto is ActivePerRow writing into dst (resized and reused
-// when capacity allows).
-func (tg *Tags) ActivePerRowInto(dst []int) []int {
-	return copyInts(dst, tg.activePerRow)
+	return slices.Clone(tg.activePerRow)
 }
 
 // FeatureActivityHistogram buckets features by their active-bundle count

@@ -44,8 +44,9 @@ func TestGoldenTagChecksum(t *testing.T) {
 		goldenSpikes = 1814
 	)
 	s := goldenTensor(7, 9, 130, 7*9*130/4, 99)
-	tg := Tag(s, Shape{BSt: 3, BSn: 2})
-	got := intHash(tg.counts, tg.ActivePerFeature(), tg.SpikesPerFeature())
+	sh := Shape{BSt: 3, BSn: 2}
+	tg := Tag(s, sh)
+	got := intHash(Counts(s, sh), tg.ActivePerFeature(), tg.SpikesPerFeature())
 	rows := intHash(tg.ActivePerRow())
 	if os.Getenv("PRINT_GOLDEN") != "" {
 		t.Logf("goldenCounts = uint64(%#x)", got)

@@ -2,9 +2,9 @@ package bundle
 
 // Reference implementations of every statistic Retag caches, and the tests
 // that pin the fused bit-sliced scan to them. The references are the
-// formulations the scan replaced: the tags come from one CountBlock per
-// (bundle, feature) pair, and each statistic is its own dense pass over
-// the tag grid.
+// formulations the scan replaced: the tags come from Counts, one
+// CountBlock per (bundle, feature) pair, and each statistic is its own
+// dense pass over that tag grid.
 
 import (
 	"fmt"
@@ -21,27 +21,10 @@ type refTags struct {
 	Counts      []int
 }
 
-// naiveTag computes the tag grid with one CountBlock per (bundle, feature)
-// pair, laid out as Tags.counts.
-func naiveTag(s *spike.Tensor, sh Shape) []int {
-	nbt := (s.T + sh.BSt - 1) / sh.BSt
-	nbn := (s.N + sh.BSn - 1) / sh.BSn
-	counts := make([]int, nbt*nbn*s.D)
-	for bt := 0; bt < nbt; bt++ {
-		for bn := 0; bn < nbn; bn++ {
-			base := (bt*nbn + bn) * s.D
-			for d := 0; d < s.D; d++ {
-				counts[base+d] = s.CountBlock(bt*sh.BSt, (bt+1)*sh.BSt, bn*sh.BSn, (bn+1)*sh.BSn, d)
-			}
-		}
-	}
-	return counts
-}
-
 func newRefTags(s *spike.Tensor, sh Shape) *refTags {
 	return &refTags{
 		NBt: (s.T + sh.BSt - 1) / sh.BSt, NBn: (s.N + sh.BSn - 1) / sh.BSn, D: s.D,
-		Counts: naiveTag(s, sh),
+		Counts: Counts(s, sh),
 	}
 }
 
@@ -87,19 +70,6 @@ func (tg *refTags) SpikesPerFeature() []int {
 	return out
 }
 
-func (tg *refTags) MaxPerFeature() []int {
-	out := make([]int, tg.D)
-	for b := 0; b < tg.NBt*tg.NBn; b++ {
-		base := b * tg.D
-		for d := 0; d < tg.D; d++ {
-			if c := tg.Counts[base+d]; c > out[d] {
-				out[d] = c
-			}
-		}
-	}
-	return out
-}
-
 func (tg *refTags) ActivePerRow() []int {
 	out := make([]int, tg.NBt*tg.NBn)
 	for b := range out {
@@ -114,9 +84,9 @@ func (tg *refTags) ActivePerRow() []int {
 }
 
 // checkTags fails t unless tg, as Retag left it for s under sh, matches the
-// reference in its grid, every tag and every cached statistic. The Into
-// accessors get a short buffer of stale values, so they must resize it and
-// overwrite every element.
+// reference in its geometry and every cached statistic. ActivePerFeatureInto
+// gets a short buffer of stale values, so it must resize it and overwrite
+// every element.
 func checkTags(t testing.TB, what string, tg *Tags, s *spike.Tensor, sh Shape) {
 	t.Helper()
 	ref := newRefTags(s, sh)
@@ -124,30 +94,15 @@ func checkTags(t testing.TB, what string, tg *Tags, s *spike.Tensor, sh Shape) {
 		t.Fatalf("%s: geometry %+v %dx%dx%d grid %dx%d, want %+v %dx%dx%d grid %dx%d", what,
 			tg.Shape, tg.T, tg.N, tg.D, tg.NBt, tg.NBn, sh, s.T, s.N, s.D, ref.NBt, ref.NBn)
 	}
-	if !slices.Equal(tg.counts, ref.Counts) {
-		t.Fatalf("%s: tag grid differs from the CountBlock reference", what)
-	}
-	for bt := 0; bt < tg.NBt; bt++ {
-		for bn := 0; bn < tg.NBn; bn++ {
-			for d := 0; d < tg.D; d++ {
-				if got, want := tg.Count(bt, bn, d), ref.Counts[(bt*ref.NBn+bn)*ref.D+d]; got != want {
-					t.Fatalf("%s: Count(%d,%d,%d)=%d want %d", what, bt, bn, d, got, want)
-				}
-			}
-		}
-	}
-	stale := func() []int { return append(make([]int, 0, 2*tg.D+8), -7, -7, -7) }
+	stale := append(make([]int, 0, 2*tg.D+8), -7, -7, -7)
 	vecs := []struct {
 		name      string
 		got, want []int
 	}{
 		{"ActivePerFeature", tg.ActivePerFeature(), ref.ActivePerFeature()},
-		{"ActivePerFeatureInto", tg.ActivePerFeatureInto(stale()), ref.ActivePerFeature()},
+		{"ActivePerFeatureInto", tg.ActivePerFeatureInto(stale), ref.ActivePerFeature()},
 		{"SpikesPerFeature", tg.SpikesPerFeature(), ref.SpikesPerFeature()},
-		{"SpikesPerFeatureInto", tg.SpikesPerFeatureInto(stale()), ref.SpikesPerFeature()},
-		{"MaxPerFeatureInto", tg.MaxPerFeatureInto(stale()), ref.MaxPerFeature()},
 		{"ActivePerRow", tg.ActivePerRow(), ref.ActivePerRow()},
-		{"ActivePerRowInto", tg.ActivePerRowInto(stale()), ref.ActivePerRow()},
 	}
 	for _, v := range vecs {
 		if !slices.Equal(v.got, v.want) {
@@ -159,13 +114,6 @@ func checkTags(t testing.TB, what string, tg *Tags, s *spike.Tensor, sh Shape) {
 	}
 	if got, want := tg.SpikeCount(), ref.SpikeCount(); got != want || got != s.Count() {
 		t.Fatalf("%s: SpikeCount=%d want %d (tensor holds %d)", what, got, want, s.Count())
-	}
-}
-
-func TestNaiveTagMatchesTag(t *testing.T) {
-	s := benchSpikes()
-	if !slices.Equal(Tag(s, DefaultShape).counts, naiveTag(s, DefaultShape)) {
-		t.Fatal("Tag differs from the CountBlock reference")
 	}
 }
 

@@ -133,13 +133,12 @@ func randSpikes(seed uint64, T, N, D int, p float64) *spike.Tensor {
 func TestLinearStatsConservation(t *testing.T) {
 	in := randSpikes(1, 8, 16, 32, 0.2)
 	st := NewLinearStats(in, 64, bundle.Shape{BSt: 4, BSn: 2})
-	var spk, act int
+	var act int
 	for d := 0; d < 32; d++ {
-		spk += st.SpikesPerFeature[d]
 		act += st.ActivePerFeature[d]
 	}
-	if spk != in.Count() || spk != st.TotalSpikes {
-		t.Fatalf("spike conservation: %d vs %d", spk, in.Count())
+	if st.TotalSpikes != in.Count() {
+		t.Fatalf("spike conservation: %d vs %d", st.TotalSpikes, in.Count())
 	}
 	if act != st.ActiveBundles {
 		t.Fatalf("bundle conservation")
@@ -149,21 +148,56 @@ func TestLinearStatsConservation(t *testing.T) {
 	}
 }
 
+// TestLinearStatsSplitConserves checks each side of a split, not only their
+// sum, against the tags' per-feature spike and active-bundle counts over
+// that side's features: at a fixed θ_s of 0, at split targets 0, 0.5 and 1,
+// and through one reused SplitInto pair left stale by the previous case.
 func TestLinearStatsSplitConserves(t *testing.T) {
 	in := randSpikes(2, 8, 16, 32, 0.15)
 	sh := bundle.Shape{BSt: 4, BSn: 2}
 	st := NewLinearStats(in, 64, sh)
 	tg := bundle.Tag(in, sh)
-	res := bundle.StratifyForSplit(tg, 0.5)
-	d, s := st.Split(res)
-	if d.TotalSpikes+s.TotalSpikes != st.TotalSpikes {
-		t.Fatal("split loses spikes")
+	spf, apf := tg.SpikesPerFeature(), tg.ActivePerFeature()
+	check := func(what string, side LinearStats, idx []int) {
+		t.Helper()
+		var spikes, bundles int
+		for _, d := range idx {
+			spikes += spf[d]
+			bundles += apf[d]
+		}
+		if side.TotalSpikes != spikes || side.ActiveBundles != bundles || side.DIn != len(idx) {
+			t.Fatalf("%s: spikes %d bundles %d features %d, want %d %d %d", what,
+				side.TotalSpikes, side.ActiveBundles, side.DIn, spikes, bundles, len(idx))
+		}
+		for i, d := range idx {
+			if side.ActivePerFeature[i] != apf[d] {
+				t.Fatalf("%s: feature %d active %d want %d", what, d, side.ActivePerFeature[i], apf[d])
+			}
+		}
+		if side.DOut != st.DOut || side.B != st.B {
+			t.Fatalf("%s: split must preserve DOut and B", what)
+		}
 	}
-	if d.DIn+s.DIn != st.DIn {
-		t.Fatal("split loses features")
+	cases := []struct {
+		name string
+		res  bundle.StratifyResult
+	}{
+		{"theta 0", bundle.Stratify(tg, 0)},
+		{"target 0", bundle.StratifyForSplit(tg, 0)},
+		{"target 0.5", bundle.StratifyForSplit(tg, 0.5)},
+		{"target 1", bundle.StratifyForSplit(tg, 1)},
 	}
-	if d.DOut != st.DOut || s.B != st.B {
-		t.Fatal("split must preserve DOut and B")
+	var dReused, sReused LinearStats
+	for _, c := range cases {
+		d, s := st.Split(c.res)
+		check(c.name+" dense", d, c.res.Dense)
+		check(c.name+" sparse", s, c.res.Sparse)
+		if d.TotalSpikes+s.TotalSpikes != st.TotalSpikes || d.DIn+s.DIn != st.DIn {
+			t.Fatalf("%s: split loses spikes or features", c.name)
+		}
+		st.SplitInto(c.res, &dReused, &sReused)
+		check(c.name+" reused dense", dReused, c.res.Dense)
+		check(c.name+" reused sparse", sReused, c.res.Sparse)
 	}
 }
 
@@ -191,11 +225,11 @@ func TestAttnStatsMasks(t *testing.T) {
 	}
 	l := transformer.TraceLayer{Q: q, K: k, V: v, Heads: 4, QKeep: keepHalf}
 	st := NewAttnStats(l, bundle.Shape{BSt: 2, BSn: 2})
-	if st.QKeepFrac() != 0.5 {
-		t.Fatalf("QKeepFrac %v", st.QKeepFrac())
+	if st.QTokensKept != 4*4 {
+		t.Fatalf("QTokensKept %d want half of 4x8", st.QTokensKept)
 	}
-	if st.KKeepFrac() != 1 {
-		t.Fatalf("KKeepFrac %v", st.KKeepFrac())
+	if st.KTokensKept != 4*8 {
+		t.Fatalf("KTokensKept %d want all of 4x8", st.KTokensKept)
 	}
 	qb, kb, vb := st.QKVBits()
 	if qb != int64(st.QTokensKept)*16 || kb != vb {

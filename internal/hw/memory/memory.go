@@ -81,12 +81,3 @@ func SpillFactor(workingSet, capacity, passes int64) int64 {
 	}
 	return passes
 }
-
-// ResidentTiles splits a weight matrix of total bytes into GLB-sized tiles
-// and returns how many there are — the pass count of a tile-resident loop.
-func ResidentTiles(totalBytes, capacity int64) int64 {
-	if capacity <= 0 {
-		return 1
-	}
-	return hw.CeilDiv(totalBytes, capacity/2) // half: double-buffered
-}

@@ -58,15 +58,6 @@ func TestSpillFactor(t *testing.T) {
 	}
 }
 
-func TestResidentTiles(t *testing.T) {
-	if ResidentTiles(1024, 1024) != 2 { // double-buffered: 512 usable
-		t.Fatalf("got %d", ResidentTiles(1024, 1024))
-	}
-	if ResidentTiles(100, 0) != 1 {
-		t.Fatal("degenerate capacity")
-	}
-}
-
 func TestBishopHierarchy(t *testing.T) {
 	h := Bishop()
 	if h.WeightGLB != 144*1024 || h.SpikeGLB != 12*1024 {

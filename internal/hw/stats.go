@@ -15,13 +15,8 @@ type LinearStats struct {
 	B               int // bundle rows = ⌈T/BSt⌉·⌈N/BSn⌉
 
 	ActivePerFeature []int // active bundles per input feature column
-	SpikesPerFeature []int
 	TotalSpikes      int
 	ActiveBundles    int
-
-	// MaxSpikesPerBundle[i] is the largest per-bundle spike count on input
-	// feature i — the lockstep bound of the systolic dense core.
-	MaxSpikesPerBundle []int
 }
 
 // NewLinearStats extracts the statistics of a projection/MLP layer with
@@ -42,14 +37,12 @@ func (st *LinearStats) Reset(in *spike.Tensor, dout int, sh bundle.Shape, tg *bu
 	st.T, st.N, st.DIn, st.DOut, st.Shape = in.T, in.N, in.D, dout, sh
 	st.B = tg.NBt * tg.NBn
 	st.ActivePerFeature = tg.ActivePerFeatureInto(st.ActivePerFeature)
-	st.SpikesPerFeature = tg.SpikesPerFeatureInto(st.SpikesPerFeature)
-	st.MaxSpikesPerBundle = tg.MaxPerFeatureInto(st.MaxSpikesPerBundle)
 	st.TotalSpikes = tg.SpikeCount()
 	st.ActiveBundles = tg.ActiveBundles()
 }
 
-// Split partitions the per-feature statistics by a stratification result,
-// returning the dense-core and sparse-core sub-workloads.
+// Split partitions the per-feature statistics by a stratification result of
+// the same input, returning the dense-core and sparse-core sub-workloads.
 func (s LinearStats) Split(res bundle.StratifyResult) (dense, sparse LinearStats) {
 	var d, sp LinearStats
 	s.SplitInto(res, &d, &sp)
@@ -57,27 +50,21 @@ func (s LinearStats) Split(res bundle.StratifyResult) (dense, sparse LinearStats
 }
 
 // SplitInto is Split writing into caller-held stats, reusing their
-// per-feature slices across calls.
+// per-feature slices across calls. Each side's totals are the ones the
+// stratifier summed while partitioning.
 func (s *LinearStats) SplitInto(res bundle.StratifyResult, dense, sparse *LinearStats) {
-	s.pickInto(res.Dense, dense)
-	s.pickInto(res.Sparse, sparse)
+	s.pickInto(res.Dense, res.DenseSpikes, res.DenseBundles, dense)
+	s.pickInto(res.Sparse, res.SparseSpikes, res.SparseBundles, sparse)
 }
 
-func (s *LinearStats) pickInto(idx []int, out *LinearStats) {
+func (s *LinearStats) pickInto(idx []int, spikes, bundles int, out *LinearStats) {
 	apf := out.ActivePerFeature[:0]
-	spf := out.SpikesPerFeature[:0]
-	msb := out.MaxSpikesPerBundle[:0]
 	*out = *s
-	out.TotalSpikes, out.ActiveBundles = 0, 0
 	for _, d := range idx {
 		apf = append(apf, s.ActivePerFeature[d])
-		spf = append(spf, s.SpikesPerFeature[d])
-		msb = append(msb, s.MaxSpikesPerBundle[d])
-		out.TotalSpikes += s.SpikesPerFeature[d]
-		out.ActiveBundles += s.ActivePerFeature[d]
 	}
-	out.ActivePerFeature, out.SpikesPerFeature, out.MaxSpikesPerBundle = apf, spf, msb
-	out.DIn = len(idx)
+	out.ActivePerFeature = apf
+	out.DIn, out.TotalSpikes, out.ActiveBundles = len(idx), spikes, bundles
 }
 
 // WeightDRAMBytes is the off-chip weight traffic of the layer: each 8-bit
@@ -101,13 +88,10 @@ func (s LinearStats) OutputDRAMBytes() int64 {
 // AttnStats summarizes one SSA layer's workload for the attention-core
 // model, with ECP masks already folded into the kept-token counts.
 type AttnStats struct {
-	T, N, D, Heads int
-	Shape          bundle.Shape
+	T, N, D int
+	Shape   bundle.Shape
 
-	QTokensKept, KTokensKept  int // Σ over time of surviving tokens
-	QTokens, KTokens          int
-	QSpikes, KSpikes, VSpikes int
-
+	QTokensKept, KTokensKept int // Σ over time of surviving tokens
 	QBundleRows, KBundleRows int // surviving bundle rows (dispatch units)
 }
 
@@ -115,12 +99,8 @@ type AttnStats struct {
 // layer. When the trace carries ECP keep-masks they determine survival;
 // otherwise everything is kept.
 func NewAttnStats(l transformer.TraceLayer, sh bundle.Shape) AttnStats {
-	q, k, v := l.Q, l.K, l.V
-	st := AttnStats{
-		T: q.T, N: q.N, D: q.D, Heads: l.Heads, Shape: sh,
-		QTokens: q.T * q.N, KTokens: k.T * k.N,
-		QSpikes: q.Count(), KSpikes: k.Count(), VSpikes: v.Count(),
-	}
+	q, k := l.Q, l.K
+	st := AttnStats{T: q.T, N: q.N, D: q.D, Shape: sh}
 	count := func(mask [][]bool, total int) int {
 		if mask == nil {
 			return total
@@ -135,8 +115,8 @@ func NewAttnStats(l transformer.TraceLayer, sh bundle.Shape) AttnStats {
 		}
 		return c
 	}
-	st.QTokensKept = count(l.QKeep, st.QTokens)
-	st.KTokensKept = count(l.KKeep, st.KTokens)
+	st.QTokensKept = count(l.QKeep, q.T*q.N)
+	st.KTokensKept = count(l.KKeep, k.T*k.N)
 
 	nbt := (q.T + sh.BSt - 1) / sh.BSt
 	nbn := (q.N + sh.BSn - 1) / sh.BSn
@@ -158,22 +138,6 @@ func NewAttnStats(l transformer.TraceLayer, sh bundle.Shape) AttnStats {
 	st.QBundleRows = rows(l.QKeep)
 	st.KBundleRows = rows(l.KKeep)
 	return st
-}
-
-// QKeepFrac returns the surviving fraction of query tokens.
-func (a AttnStats) QKeepFrac() float64 {
-	if a.QTokens == 0 {
-		return 1
-	}
-	return float64(a.QTokensKept) / float64(a.QTokens)
-}
-
-// KKeepFrac returns the surviving fraction of key tokens.
-func (a AttnStats) KKeepFrac() float64 {
-	if a.KTokens == 0 {
-		return 1
-	}
-	return float64(a.KTokensKept) / float64(a.KTokens)
 }
 
 // QKVBits returns the packed size of the surviving Q, K, and V spike data in

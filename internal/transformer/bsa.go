@@ -38,9 +38,10 @@ func (c BSAConfig) grad(s *spike.Tensor) []*tensor.Mat {
 	if sh.BSt == 0 {
 		sh = bundle.DefaultShape
 	}
-	var tg *bundle.Tags
+	var counts []int
+	nbn := (s.N + sh.BSn - 1) / sh.BSn
 	if c.Structured {
-		tg = bundle.Tag(s, sh)
+		counts = bundle.Counts(s, sh)
 	}
 	out := make([]*tensor.Mat, s.T)
 	for t := 0; t < s.T; t++ {
@@ -50,7 +51,7 @@ func (c BSAConfig) grad(s *spike.Tensor) []*tensor.Mat {
 			for d := 0; d < s.D; d++ {
 				w := c.Lambda
 				if c.Structured {
-					z := tg.Count(t/sh.BSt, n/sh.BSn, d)
+					z := counts[((t/sh.BSt)*nbn+n/sh.BSn)*s.D+d]
 					w = c.Lambda / float32(math.Sqrt(float64(1+z)))
 				}
 				row[d] = w
