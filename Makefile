@@ -1,14 +1,12 @@
-# Mirrors .github/workflows/ci.yml: `make ci` runs exactly what CI runs.
+# Mirrors .github/workflows/ci.yml: `make ci` runs exactly the steps CI
+# runs. The end-to-end contracts of the command-line tools (cmd/dse,
+# cmd/trace, bishopctl, and real bishopd processes draining, restarting and
+# being killed under a fleet) are ordinary Go tests in their cmd/ packages,
+# so `make test` and `make race` check them.
 
 GO ?= go
 
-# Every smoke target works inside its own scratch directory under SMOKE_DIR
-# and removes that scratch on success, so a green run leaves nothing behind
-# but the declared artifacts (the *_OUT paths, which CI overrides to
-# uploadable locations and local runs find under $(SMOKE_DIR)).
-SMOKE_DIR ?= .smoke
-
-.PHONY: build test race bench bench-json bench-gate bench-baseline perfbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke smoke-clean fmt fmt-check vet lint ci
+.PHONY: build test race bench bench-json bench-gate bench-baseline perfbench-check fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
@@ -24,8 +22,8 @@ race:
 	$(GO) test -race ./...
 	BISHOP_NOSIMD=1 $(GO) test -race ./...
 
-# One iteration per benchmark: regenerates every paper artifact as a smoke
-# run. Use `$(GO) test -bench=. -benchmem` for real measurements.
+# One iteration per benchmark: regenerates every paper artifact once. Use
+# `$(GO) test -bench=. -benchmem` for real measurements.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
@@ -70,13 +68,15 @@ BENCH_GATE_SEL = -run='^$$' -bench='Kernel|Dispatched|Retag|LinearForwardSpikes|
 # The reference tolerates go test's -GOMAXPROCS name suffix, so the bare
 # name works on any host.
 BENCH_NORMALIZE ?= BenchmarkKernelCount/go
+# The measurement lands in BENCH_HEAD for inspection with `benchdiff -v`.
+BENCH_HEAD ?= .bench-gate/head.json
 bench-gate:
-	@mkdir -p $(SMOKE_DIR)
-	@$(GO) test -json $(BENCH_GATE_SEL) $(BENCH_GATE_PKGS) > $(SMOKE_DIR)/bench-head.json || \
+	@mkdir -p $(dir $(BENCH_HEAD))
+	@$(GO) test -json $(BENCH_GATE_SEL) $(BENCH_GATE_PKGS) > $(BENCH_HEAD) || \
 		{ echo "bench-gate measurement failed; last events:" >&2; \
-		  tail -40 $(SMOKE_DIR)/bench-head.json >&2; exit 1; }
+		  tail -40 $(BENCH_HEAD) >&2; exit 1; }
 	$(GO) run ./cmd/benchdiff -threshold 0.10 -normalize '$(BENCH_NORMALIZE)' \
-		$(BENCH_BASELINE) $(SMOKE_DIR)/bench-head.json
+		$(BENCH_BASELINE) $(BENCH_HEAD)
 
 bench-baseline:
 	@mkdir -p $(dir $(BENCH_BASELINE))
@@ -95,221 +95,6 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	bash perfbench/run.sh --workload grid-cold --seed 1 --seconds 2 --trace 0
 
-# Tiny end-to-end DSE sweep (2 shapes x 2 ECP settings) through cmd/dse:
-# exercises sweep -> checkpoint -> frontier and fails if the frontier JSON
-# comes back empty. FRONTIER_OUT overrides the artifact path.
-FRONTIER_OUT ?= $(SMOKE_DIR)/frontier.json
-dse-smoke:
-	@mkdir -p $(SMOKE_DIR)
-	@$(GO) run ./cmd/dse -models 4 -shapes 4x2,2x2 -ecp 0,10 -frontier $(FRONTIER_OUT)
-	@grep -q '"digest"' $(FRONTIER_OUT) || \
-		{ echo "dse-smoke: empty frontier in $(FRONTIER_OUT)" >&2; exit 1; }
-	@echo "wrote $(FRONTIER_OUT)"
-
-# Trace-store smoke: pack a tiny trace set, verify it, run a 2-shard
-# cmd/dse sweep against the shared -trace-dir (each shard must *hit* the
-# store, not regenerate), and check the sharded records are bit-identical
-# to an unsharded regenerate-per-process sweep. TRACE_DIR overrides the
-# store path (it is the uploaded artifact and survives cleanup).
-TRACE_DIR ?= $(SMOKE_DIR)/traces
-trace-smoke:
-	@set -e; \
-	d=$(SMOKE_DIR)/trace; rm -rf $$d; mkdir -p $$d; \
-	$(GO) run ./cmd/trace pack -models 4 -bsa false,true -seed 1 -dir $(TRACE_DIR); \
-	$(GO) run ./cmd/trace verify $(TRACE_DIR)/*.btrc; \
-	out=$$($(GO) run ./cmd/dse -models 4 -bsa false,true -ecp 0,10 -trace-dir $(TRACE_DIR) -shard 0/2 -checkpoint $$d/shard0.jsonl); \
-		echo "$$out" | grep -q 'trace store .*: [1-9][0-9]* hits' || \
-		{ echo "trace-smoke: shard 0 did not read the shared store" >&2; exit 1; }; \
-	out=$$($(GO) run ./cmd/dse -models 4 -bsa false,true -ecp 0,10 -trace-dir $(TRACE_DIR) -shard 1/2 -checkpoint $$d/shard1.jsonl); \
-		echo "$$out" | grep -q 'trace store .*: [1-9][0-9]* hits' || \
-		{ echo "trace-smoke: shard 1 did not read the shared store" >&2; exit 1; }; \
-	$(GO) run ./cmd/dse -models 4 -bsa false,true -ecp 0,10 -checkpoint $$d/full.jsonl > /dev/null; \
-	sort $$d/shard0.jsonl $$d/shard1.jsonl > $$d/sharded.sorted; sort $$d/full.jsonl > $$d/unsharded.sorted; \
-	cmp -s $$d/sharded.sorted $$d/unsharded.sorted || \
-		{ echo "trace-smoke: shared-store shard records differ from the regenerating sweep" >&2; exit 1; }; \
-	rm -rf $$d; \
-	echo "trace-smoke: 2-shard shared-store sweep bit-identical to regenerating sweep ($(TRACE_DIR))"
-
-# Cross-backend smoke: a tiny -backends bishop,ptb,gpu sweep through cmd/dse
-# must collect records from every backend and emit a non-empty cross-backend
-# frontier artifact. BACKEND_FRONTIER_OUT overrides the artifact path.
-BACKEND_FRONTIER_OUT ?= $(SMOKE_DIR)/backend-frontier.json
-backend-smoke:
-	@mkdir -p $(SMOKE_DIR)
-	@out=$$($(GO) run ./cmd/dse -models 4 -backends bishop,ptb,gpu -ecp 0,10 -frontier $(BACKEND_FRONTIER_OUT)); \
-	echo "$$out"; \
-	for b in bishop ptb gpu; do \
-		echo "$$out" | grep -q "backend $$b: [1-9]" || \
-			{ echo "backend-smoke: backend $$b contributed no records" >&2; exit 1; }; \
-	done
-	@grep -q '"digest"' $(BACKEND_FRONTIER_OUT) || \
-		{ echo "backend-smoke: empty frontier in $(BACKEND_FRONTIER_OUT)" >&2; exit 1; }
-	@echo "wrote $(BACKEND_FRONTIER_OUT)"
-
-# Sweep-serving smoke: compile a spec with cmd/dse -print-spec, run it both
-# through `cmd/dse -spec` and through a live bishopd daemon, and require the
-# daemon's NDJSON record stream to be bit-identical to the CLI's record
-# dump. Then SIGTERM the daemon (asserting a graceful drain), restart it on
-# the same result cache, resubmit the identical spec, and require the rerun
-# to evaluate zero points — every record served from the digest-addressed
-# cache. SERVE_FRONTIER_OUT overrides the artifact path.
-SERVE_FRONTIER_OUT ?= $(SMOKE_DIR)/serve-frontier.json
-serve-smoke:
-	@set -e; \
-	d=$(SMOKE_DIR)/serve; rm -rf $$d; mkdir -p $$d; \
-	$(GO) run ./cmd/dse -models 4 -backends bishop,ptb,gpu -ecp 0,10 -print-spec > $$d/spec.json; \
-	$(GO) run ./cmd/dse -spec $$d/spec.json -records $$d/cli.jsonl > /dev/null; \
-	$(GO) build -o $$d/bishopd.bin ./cmd/bishopd; \
-	$$d/bishopd.bin -addr 127.0.0.1:0 -cache-dir $$d/cache > $$d/bishopd.log 2>&1 & \
-	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	for i in $$(seq 1 100); do grep -q 'listening on' $$d/bishopd.log && break; sleep 0.1; done; \
-	addr=$$(sed -n 's,^bishopd: listening on http://\([^ ]*\).*,\1,p' $$d/bishopd.log); \
-	[ -n "$$addr" ] || { echo "serve-smoke: daemon did not start:" >&2; cat $$d/bishopd.log >&2; exit 1; }; \
-	id=$$(curl -sS -X POST --data-binary @$$d/spec.json "http://$$addr/v1/sweeps" | \
-		sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p'); \
-	[ -n "$$id" ] || { echo "serve-smoke: submit returned no job id" >&2; exit 1; }; \
-	curl -sS "http://$$addr/v1/sweeps/$$id/records" > $$d/daemon.jsonl; \
-	curl -sS "http://$$addr/v1/sweeps/$$id/frontier" > $(SERVE_FRONTIER_OUT); \
-	grep -q '"digest"' $(SERVE_FRONTIER_OUT) || \
-		{ echo "serve-smoke: empty frontier in $(SERVE_FRONTIER_OUT)" >&2; exit 1; }; \
-	sort $$d/cli.jsonl > $$d/cli.sorted; sort $$d/daemon.jsonl > $$d/daemon.sorted; \
-	cmp -s $$d/cli.sorted $$d/daemon.sorted || \
-		{ echo "serve-smoke: daemon record stream differs from cmd/dse -spec" >&2; exit 1; }; \
-	kill -TERM $$pid; \
-	for i in $$(seq 1 100); do kill -0 $$pid 2>/dev/null || break; sleep 0.1; done; \
-	kill -0 $$pid 2>/dev/null && { echo "serve-smoke: daemon ignored SIGTERM" >&2; exit 1; }; \
-	grep -q 'bishopd: drained' $$d/bishopd.log || \
-		{ echo "serve-smoke: no graceful drain:" >&2; cat $$d/bishopd.log >&2; exit 1; }; \
-	$$d/bishopd.bin -addr 127.0.0.1:0 -cache-dir $$d/cache > $$d/bishopd2.log 2>&1 & \
-	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	for i in $$(seq 1 100); do grep -q 'listening on' $$d/bishopd2.log && break; sleep 0.1; done; \
-	addr=$$(sed -n 's,^bishopd: listening on http://\([^ ]*\).*,\1,p' $$d/bishopd2.log); \
-	[ -n "$$addr" ] || { echo "serve-smoke: daemon did not restart:" >&2; cat $$d/bishopd2.log >&2; exit 1; }; \
-	curl -sS -X POST --data-binary @$$d/spec.json "http://$$addr/v1/sweeps" > /dev/null; \
-	st=""; \
-	for i in $$(seq 1 100); do \
-		st=$$(curl -sS "http://$$addr/v1/sweeps/$$id"); \
-		echo "$$st" | grep -q '"state":"done"' && break; sleep 0.1; \
-	done; \
-	echo "$$st" | grep -q '"state":"done"' || \
-		{ echo "serve-smoke: resubmitted sweep never finished: $$st" >&2; exit 1; }; \
-	echo "$$st" | grep -q '"evaluated":0' || \
-		{ echo "serve-smoke: resubmit re-evaluated cached points: $$st" >&2; exit 1; }; \
-	echo "$$st" | grep -Eq '"cache_hits":[1-9]' || \
-		{ echo "serve-smoke: resubmit not served from the result cache: $$st" >&2; exit 1; }; \
-	kill -TERM $$pid; \
-	for i in $$(seq 1 100); do kill -0 $$pid 2>/dev/null || break; sleep 0.1; done; \
-	rm -rf $$d; \
-	echo "serve-smoke: daemon stream bit-identical to cmd/dse -spec; resubmit served entirely from the result cache"
-
-# Distributed-sweep smoke: 3 local bishopd workers (two behind a seeded
-# fault proxy injecting drops, 500s, and mid-stream truncation), driven by
-# `bishopctl run`. One worker is SIGKILLed as soon as the first record is
-# durably merged — mid-sweep — so its shard must be re-leased and absorbed
-# by the survivors. The merged checkpoint must come out byte-identical to an
-# unsharded, single-evaluator `cmd/dse -spec -jobs 1` run of the same spec
-# (more evaluators append in completion order), and the merged frontier
-# artifact must be non-empty. FLEET_FRONTIER_OUT overrides the artifact
-# path.
-FLEET_FRONTIER_OUT ?= $(SMOKE_DIR)/fleet-frontier.json
-fleet-smoke:
-	@set -e; \
-	d=$(SMOKE_DIR)/fleet; rm -rf $$d; mkdir -p $$d; \
-	$(GO) run ./cmd/dse -models 4 -bsa false,true -shapes 4x2,2x2,1x2,4x4 -ecp 0,2,4,6,8,10 -print-spec > $$d/spec.json; \
-	$(GO) run ./cmd/dse -spec $$d/spec.json -jobs 1 -checkpoint $$d/ref.jsonl > /dev/null; \
-	$(GO) build -o $$d/bishopd.bin ./cmd/bishopd; \
-	$(GO) build -o $$d/bishopctl.bin ./cmd/bishopctl; \
-	$(GO) build -o $$d/faultproxy.bin ./cmd/faultproxy; \
-	pids=""; \
-	trap 'kill $$pids 2>/dev/null || true' EXIT; \
-	$$d/bishopd.bin -addr 127.0.0.1:0 -cache-dir $$d/cache > $$d/w1.log 2>&1 & \
-	w1=$$!; pids="$$pids $$w1"; \
-	$$d/bishopd.bin -addr 127.0.0.1:0 -cache-dir $$d/cache > $$d/w2.log 2>&1 & \
-	pids="$$pids $$!"; \
-	$$d/bishopd.bin -addr 127.0.0.1:0 -cache-dir $$d/cache > $$d/w3.log 2>&1 & \
-	pids="$$pids $$!"; \
-	for i in $$(seq 1 100); do \
-		grep -q 'listening on' $$d/w1.log 2>/dev/null && \
-		grep -q 'listening on' $$d/w2.log 2>/dev/null && \
-		grep -q 'listening on' $$d/w3.log 2>/dev/null && break; sleep 0.1; \
-	done; \
-	a1=$$(sed -n 's,^bishopd: listening on http://\([^ ]*\).*,\1,p' $$d/w1.log); \
-	a2=$$(sed -n 's,^bishopd: listening on http://\([^ ]*\).*,\1,p' $$d/w2.log); \
-	a3=$$(sed -n 's,^bishopd: listening on http://\([^ ]*\).*,\1,p' $$d/w3.log); \
-	[ -n "$$a1" ] && [ -n "$$a2" ] && [ -n "$$a3" ] || \
-		{ echo "fleet-smoke: workers did not start" >&2; cat $$d/w*.log >&2; exit 1; }; \
-	$$d/faultproxy.bin -seed 7 -drop 0.08 -error 0.08 -truncate 0.08 -truncate-bytes 300 \
-		-route 127.0.0.1:0=http://$$a2 -route 127.0.0.1:0=http://$$a3 > $$d/proxy.log 2>&1 & \
-	pids="$$pids $$!"; \
-	for i in $$(seq 1 100); do \
-		[ "$$(grep -c ' -> ' $$d/proxy.log 2>/dev/null)" = "2" ] && break; sleep 0.1; \
-	done; \
-	p2=$$(sed -n 's,^faultproxy: \([^ ]*\) -> http://'$$a2'.*,\1,p' $$d/proxy.log); \
-	p3=$$(sed -n 's,^faultproxy: \([^ ]*\) -> http://'$$a3'.*,\1,p' $$d/proxy.log); \
-	[ -n "$$p2" ] && [ -n "$$p3" ] || \
-		{ echo "fleet-smoke: fault proxy did not start" >&2; cat $$d/proxy.log >&2; exit 1; }; \
-	$$d/bishopctl.bin run -spec $$d/spec.json -workers $$a1,$$p2,$$p3 \
-		-checkpoint $$d/merged.jsonl -lease-ttl 5s -frontier $(FLEET_FRONTIER_OUT) \
-		> $$d/ctl.log 2> $$d/ctl.err & \
-	cpid=$$!; pids="$$pids $$cpid"; \
-	for i in $$(seq 1 400); do [ -s $$d/merged.jsonl ] && break; sleep 0.05; done; \
-	[ -s $$d/merged.jsonl ] || \
-		{ echo "fleet-smoke: no record merged within 20s" >&2; cat $$d/ctl.err >&2; exit 1; }; \
-	kill -9 $$w1; \
-	wait $$cpid && rc=0 || rc=$$?; \
-	[ "$$rc" = "0" ] || \
-		{ echo "fleet-smoke: coordinator failed ($$rc)" >&2; cat $$d/ctl.err >&2; exit 1; }; \
-	grep -Eq 'released|re-leasing' $$d/ctl.err || \
-		{ echo "fleet-smoke: SIGKILLed worker's shard was never released" >&2; cat $$d/ctl.err >&2; exit 1; }; \
-	cmp -s $$d/merged.jsonl $$d/ref.jsonl || \
-		{ echo "fleet-smoke: merged checkpoint differs from unsharded cmd/dse run" >&2; exit 1; }; \
-	grep -q '"digest"' $(FLEET_FRONTIER_OUT) || \
-		{ echo "fleet-smoke: empty frontier in $(FLEET_FRONTIER_OUT)" >&2; exit 1; }; \
-	cat $$d/ctl.log; \
-	rm -rf $$d; \
-	echo "fleet-smoke: merged checkpoint byte-identical to unsharded sweep after worker SIGKILL behind faults"
-
-# Successive-halving search smoke: a 96-point space through `cmd/dse -rungs
-# 8,4,1` must (1) run at most half the full grid at full fidelity, (2)
-# resume from its checkpoint with zero fresh evaluations when re-run, and
-# (3) produce full-fidelity survivor records byte-identical to lines of a
-# plain grid sweep of the same space (compared as sorted line sets — the
-# checkpoint's append order under parallel evaluation is completion order).
-# SEARCH_FRONTIER_OUT overrides the survivor-frontier artifact path.
-SEARCH_FRONTIER_OUT ?= $(SMOKE_DIR)/search-frontier.json
-SEARCH_SPACE = -models 4 -bsa false,true -shapes 4x2,2x2,1x2,4x4 -ecp 0,2,4,6,8,10 -stratify true,false
-search-smoke:
-	@set -e; \
-	d=$(SMOKE_DIR)/search; rm -rf $$d; mkdir -p $$d; \
-	out=$$($(GO) run ./cmd/dse $(SEARCH_SPACE) -rungs 8,4,1 -eta 2 \
-		-checkpoint $$d/search.jsonl -frontier $(SEARCH_FRONTIER_OUT)); \
-	echo "$$out"; \
-	full=$$(echo "$$out" | sed -n 's/^full-fidelity evaluations: \([0-9]*\) of .*/\1/p'); \
-	grid=$$(echo "$$out" | sed -n 's/^full-fidelity evaluations: [0-9]* of \([0-9]*\) grid points.*/\1/p'); \
-	[ -n "$$full" ] && [ -n "$$grid" ] || \
-		{ echo "search-smoke: no full-fidelity summary line" >&2; exit 1; }; \
-	[ "$$((full * 2))" -le "$$grid" ] || \
-		{ echo "search-smoke: $$full full-fidelity evaluations exceed half of the $$grid-point grid" >&2; exit 1; }; \
-	grep -q '"digest"' $(SEARCH_FRONTIER_OUT) || \
-		{ echo "search-smoke: empty survivor frontier in $(SEARCH_FRONTIER_OUT)" >&2; exit 1; }; \
-	out=$$($(GO) run ./cmd/dse $(SEARCH_SPACE) -rungs 8,4,1 -eta 2 -checkpoint $$d/search.jsonl); \
-	echo "$$out" | grep -q '^search total: 0 fresh evaluations' || \
-		{ echo "search-smoke: checkpoint resume re-evaluated points:" >&2; echo "$$out" >&2; exit 1; }; \
-	$(GO) run ./cmd/dse $(SEARCH_SPACE) -checkpoint $$d/grid.jsonl > /dev/null; \
-	grep -v '"fidelity"' $$d/search.jsonl | sort > $$d/survivors.sorted; \
-	sort $$d/grid.jsonl > $$d/grid.sorted; \
-	[ "$$(wc -l < $$d/survivors.sorted)" = "$$full" ] || \
-		{ echo "search-smoke: checkpoint holds $$(wc -l < $$d/survivors.sorted) full-fidelity records, summary said $$full" >&2; exit 1; }; \
-	[ -z "$$(comm -23 $$d/survivors.sorted $$d/grid.sorted)" ] || \
-		{ echo "search-smoke: survivor records are not byte-identical to grid sweep records" >&2; exit 1; }; \
-	rm -rf $$d; \
-	echo "search-smoke: $$full of $$grid grid points simulated at full fidelity; survivors byte-identical to the grid sweep; resume fresh-free"
-
-smoke-clean:
-	rm -rf $(SMOKE_DIR)
-
 fmt:
 	gofmt -w .
 
@@ -322,7 +107,7 @@ fmt-check:
 # assembly only compile on their GOARCH. The second pass cross-vets the
 # arm64 variant from any host (asmdecl checks the NEON stubs' frame
 # offsets), so linux/amd64 CI still vets every line. No other production
-# path is //go:build-tagged; if smoke-only tags ever appear, add a
+# path is //go:build-tagged; if build tags ever gate another path, add a
 # `$(GO) vet -tags <tag> ./...` pass here too.
 vet:
 	$(GO) vet ./...
@@ -337,4 +122,4 @@ vet:
 lint:
 	$(GO) run ./cmd/bishoplint ./...
 
-ci: build fmt-check vet lint race bench bench-gate perfbench-check dse-smoke backend-smoke trace-smoke serve-smoke fleet-smoke search-smoke
+ci: build fmt-check vet race bench-gate bench-json lint perfbench-check

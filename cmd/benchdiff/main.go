@@ -29,73 +29,88 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/benchcmp"
 )
 
 func main() {
-	threshold := flag.Float64("threshold", 0.10, "tolerated fractional ns/op growth")
-	allocThreshold := flag.Float64("alloc-threshold", 0, "tolerated fractional allocs/op growth")
-	normalize := flag.String("normalize", "", "benchmark name used to calibrate machine speed")
-	allowMissing := flag.Bool("allow-missing", false, "missing benchmarks warn instead of failing")
-	verbose := flag.Bool("v", false, "list every compared benchmark")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [flags] BASE HEAD")
-		flag.PrintDefaults()
+	regressed, err := run(os.Args[1:], os.Stdout)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		// -h: the flag set has printed the usage
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
+	case regressed:
+		os.Exit(1)
+	}
+}
+
+// run compares the two benchmark streams named in args and reports on
+// stdout. regressed is true when HEAD regressed or lost gate coverage.
+func run(args []string, stdout io.Writer) (regressed bool, err error) {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	threshold := fs.Float64("threshold", 0.10, "tolerated fractional ns/op growth")
+	allocThreshold := fs.Float64("alloc-threshold", 0, "tolerated fractional allocs/op growth")
+	normalize := fs.String("normalize", "", "benchmark name used to calibrate machine speed")
+	allowMissing := fs.Bool("allow-missing", false, "missing benchmarks warn instead of failing")
+	verbose := fs.Bool("v", false, "list every compared benchmark")
+	if err := fs.Parse(args); err != nil {
+		return false, err
+	}
+	if fs.NArg() != 2 {
+		return false, errors.New("usage: benchdiff [flags] BASE HEAD")
 	}
 
-	base, err := parseFile(flag.Arg(0))
+	base, err := parseFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
-	head, err := parseFile(flag.Arg(1))
+	head, err := parseFile(fs.Arg(1))
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
 	rep, err := benchcmp.Compare(base, head, benchcmp.Thresholds{
 		NsFrac:    *threshold,
 		AllocFrac: *allocThreshold,
 	}, *normalize)
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
 
 	if rep.NormalizeRef != "" {
-		fmt.Printf("benchdiff: normalized by %s (scale %.3f)\n", rep.NormalizeRef, rep.Scale)
+		fmt.Fprintf(stdout, "benchdiff: normalized by %s (scale %.3f)\n", rep.NormalizeRef, rep.Scale)
 	}
 	if *verbose {
 		for _, d := range rep.Deltas {
-			fmt.Printf("  %-60s %10.0f -> %10.0f ns/op (%+.1f%%)\n",
+			fmt.Fprintf(stdout, "  %-60s %10.0f -> %10.0f ns/op (%+.1f%%)\n",
 				d.Key, d.Base.NsPerOp, d.Head.NsPerOp*rep.Scale, (d.NsRatio-1)*100)
 		}
 	}
 	for _, k := range rep.NewKeys {
-		fmt.Printf("benchdiff: new (not in baseline): %s\n", k)
+		fmt.Fprintf(stdout, "benchdiff: new (not in baseline): %s\n", k)
 	}
 
-	failed := false
 	for _, k := range rep.MissingKeys {
 		if *allowMissing {
-			fmt.Printf("benchdiff: warning: missing from head: %s\n", k)
+			fmt.Fprintf(stdout, "benchdiff: warning: missing from head: %s\n", k)
 		} else {
-			fmt.Printf("benchdiff: FAIL: missing from head (lost gate coverage): %s\n", k)
-			failed = true
+			fmt.Fprintf(stdout, "benchdiff: FAIL: missing from head (lost gate coverage): %s\n", k)
+			regressed = true
 		}
 	}
 	for _, d := range rep.Regressions() {
-		fmt.Printf("benchdiff: FAIL: %s: %s\n", d.Key, d.Reason)
-		failed = true
+		fmt.Fprintf(stdout, "benchdiff: FAIL: %s: %s\n", d.Key, d.Reason)
+		regressed = true
 	}
-	fmt.Printf("benchdiff: %d benchmarks compared, %d regressions, %d missing, %d new\n",
+	fmt.Fprintf(stdout, "benchdiff: %d benchmarks compared, %d regressions, %d missing, %d new\n",
 		len(rep.Deltas), len(rep.Regressions()), len(rep.MissingKeys), len(rep.NewKeys))
-	if failed {
-		os.Exit(1)
-	}
+	return regressed, nil
 }
 
 func parseFile(path string) (map[string]benchcmp.Result, error) {
@@ -112,9 +127,4 @@ func parseFile(path string) (map[string]benchcmp.Result, error) {
 		return nil, fmt.Errorf("%s: no benchmark results found", path)
 	}
 	return m, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(2)
 }

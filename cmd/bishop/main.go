@@ -12,8 +12,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -24,20 +26,34 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (see -list), or 'all'")
-	quick := flag.Bool("quick", false, "bound training-based experiments for fast runs")
-	seed := flag.Uint64("seed", 1, "experiment seed")
-	jobs := flag.Int("jobs", 0, "max parallel workers (0 = all CPUs)")
-	list := flag.Bool("list", false, "list experiment ids")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return // -h: the flag set has printed the usage
+		}
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and runs the experiments they name, printing each table
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("bishop", flag.ContinueOnError)
+	exp := fs.String("exp", "", "experiment id (see -list), or 'all'")
+	quick := fs.Bool("quick", false, "bound training-based experiments for fast runs")
+	seed := fs.Uint64("seed", 1, "experiment seed")
+	jobs := fs.Int("jobs", 0, "max parallel workers (0 = all CPUs)")
+	list := fs.Bool("list", false, "list experiment ids")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Println(strings.Join(experiments.FigList(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(experiments.FigList(), "\n"))
+		return nil
 	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "usage: bishop -exp <id>|all [-quick] [-seed N] [-jobs N]; bishop -list")
-		os.Exit(2)
+		return errors.New("usage: bishop -exp <id>|all [-quick] [-seed N] [-jobs N]; bishop -list")
 	}
 	if *jobs > 0 {
 		// The pool sizes itself from GOMAXPROCS; capping it here bounds
@@ -71,10 +87,10 @@ func main() {
 	for i, id := range ids {
 		r := <-results[i]
 		if r.err != nil {
-			fmt.Fprintln(os.Stderr, r.err)
-			os.Exit(1)
+			return r.err
 		}
-		r.tbl.Fprint(os.Stdout)
-		fmt.Printf("  (%s in %.1fs)\n\n", id, r.dur.Seconds())
+		r.tbl.Fprint(stdout)
+		fmt.Fprintf(stdout, "  (%s in %.1fs)\n\n", id, r.dur.Seconds())
 	}
+	return nil
 }

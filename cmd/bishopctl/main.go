@@ -27,8 +27,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -40,12 +42,23 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 || (os.Args[1] != "run" && os.Args[1] != "search") {
-		fmt.Fprintln(os.Stderr, "usage: bishopctl {run|search} -spec spec.json -workers host1,host2,... -checkpoint out.jsonl")
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return // -h: the flag set has printed the usage
+		}
+		fmt.Fprintln(os.Stderr, "bishopctl:", err)
+		os.Exit(1)
 	}
-	verb := os.Args[1]
-	fs := flag.NewFlagSet("bishopctl "+verb, flag.ExitOnError)
+}
+
+// run executes the verb in args[0] and reports the merged result on stdout;
+// progress lines go to stderr.
+func run(args []string, stdout io.Writer) error {
+	if len(args) == 0 || (args[0] != "run" && args[0] != "search") {
+		return errors.New("usage: bishopctl {run|search} -spec spec.json -workers host1,host2,... -checkpoint out.jsonl")
+	}
+	verb := args[0]
+	fs := flag.NewFlagSet("bishopctl "+verb, flag.ContinueOnError)
 	specPath := fs.String("spec", "", "saved spec (JSON, as written by dse -print-spec)")
 	workers := fs.String("workers", "", "comma-separated bishopd workers (host:port or http:// URLs)")
 	checkpoint := fs.String("checkpoint", "", "durable merged JSONL checkpoint (resumable; search appends .r<divisor> per rung)")
@@ -54,19 +67,15 @@ func main() {
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request timeout against workers")
 	frontier := fs.String("frontier", "", "write the merged Pareto frontier JSON to this path")
 	quiet := fs.Bool("q", false, "suppress progress lines")
-	fs.Parse(os.Args[2:])
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "bishopctl:", err)
-		os.Exit(1)
+	if err := fs.Parse(args[1:]); err != nil {
+		return err
 	}
 	if *specPath == "" || *workers == "" || *checkpoint == "" {
-		fmt.Fprintf(os.Stderr, "bishopctl %s: -spec, -workers, and -checkpoint are required\n", verb)
-		os.Exit(2)
+		return fmt.Errorf("%s: -spec, -workers, and -checkpoint are required", verb)
 	}
 	data, err := os.ReadFile(*specPath)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	var list []string
@@ -101,16 +110,15 @@ func main() {
 	if verb == "search" {
 		spec, err := dse.DecodeSearchSpec(data)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		cfg.Worker.Seed = spec.Normalized().Seed
-		runSearch(ctx, spec, cfg, list, *frontier, *quiet, fail)
-		return
+		return runSearch(ctx, stdout, spec, cfg, *frontier, *quiet)
 	}
 
 	spec, err := dse.DecodeSpec(data)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	cfg.Worker.Seed = spec.Normalized().Seed
 
@@ -119,58 +127,48 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 	}
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("bishopctl: %d records (%d resumed, %d fresh) across %d workers, %d re-leases\n",
+	fmt.Fprintf(stdout, "bishopctl: %d records (%d resumed, %d fresh) across %d workers, %d re-leases\n",
 		len(res.Records), res.Resumed, res.Fresh, len(list), res.ReLeases)
 	for _, name := range res.WorkerNames() {
-		fmt.Printf("bishopctl:   %-40s %d records\n", name, res.WorkerRecords[name])
+		fmt.Fprintf(stdout, "bishopctl:   %-40s %d records\n", name, res.WorkerRecords[name])
 	}
-	writeFrontier(*frontier, res.Records, fail)
+	return writeFrontier(stdout, *frontier, res.Records)
 }
 
 // runSearch executes a successive-halving search across the fleet and
 // reports the rung progression plus the survivor frontier.
-func runSearch(ctx context.Context, spec dse.SearchSpec, cfg fleet.Config, list []string, frontier string, quiet bool, fail func(error)) {
+func runSearch(ctx context.Context, stdout io.Writer, spec dse.SearchSpec, cfg fleet.Config, frontier string, quiet bool) error {
 	sr, err := fleet.RunSearch(ctx, spec, cfg)
 	if !quiet {
 		fmt.Fprintln(os.Stderr)
 	}
 	if err != nil {
-		fail(err)
+		return err
 	}
-	norm := spec.Normalized()
-	grid := len(norm.Points())
-	fullFidelity := 0
-	for i, rung := range sr.Rungs {
-		label := fmt.Sprintf("fidelity 1/%d", rung.Fidelity)
-		if rung.Fidelity <= 1 {
-			label = "full fidelity"
-			fullFidelity = rung.Candidates
-		}
-		fmt.Printf("bishopctl: rung %d: %-13s %3d candidates, %3d evaluated, %3d promoted\n",
-			i+1, label, rung.Candidates, rung.Evaluated, rung.Survivors)
+	dse.FprintRungs(stdout, "bishopctl: ", sr.Rungs, len(spec.Normalized().Points()))
+	fmt.Fprintf(stdout, "bishopctl: search total: %d fresh evaluations across %d workers\n", sr.Evaluated, len(cfg.Workers))
+	if sr.Final == nil {
+		return nil
 	}
-	fmt.Printf("bishopctl: search total: %d fresh evaluations across %d workers\n", sr.Evaluated, len(list))
-	fmt.Printf("bishopctl: full-fidelity evaluations: %d of %d grid points\n", fullFidelity, grid)
-	if sr.Final != nil {
-		writeFrontier(frontier, sr.Final.Records, fail)
-	}
+	return writeFrontier(stdout, frontier, sr.Final.Records)
 }
 
 // writeFrontier dumps the latency/energy Pareto frontier of recs when a
 // destination path was given.
-func writeFrontier(path string, recs []dse.Record, fail func(error)) {
+func writeFrontier(stdout io.Writer, path string, recs []dse.Record) error {
 	if path == "" {
-		return
+		return nil
 	}
 	front := dse.Frontier(recs)
 	data, err := dse.EncodeFrontier(front, len(recs))
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("bishopctl: frontier (%d points) written to %s\n", len(front), path)
+	fmt.Fprintf(stdout, "bishopctl: frontier (%d points) written to %s\n", len(front), path)
+	return nil
 }

@@ -82,13 +82,11 @@ func main() {
 	}
 
 	fmt.Printf("bishopd: draining (up to %s)\n", *drain)
-	// Drain order matters: flip /healthz to 503 "draining" first (so fleet
-	// coordinators and load balancers stop routing new shards here), then
-	// drain the job manager (running sweeps finish inside the budget, which
-	// ends their record streams), and only then shut the HTTP server down —
-	// Shutdown waits for active connections, and the streams cannot end
-	// until their jobs do.
-	mgr.BeginDrain()
+	// Drain order matters: close the job manager first — from that moment
+	// submissions answer 503 and /healthz answers 503 "draining", while
+	// running sweeps finish inside the budget, which ends their record
+	// streams — and only then shut the HTTP server down: Shutdown waits for
+	// active connections, and the streams cannot end until their jobs do.
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := mgr.Close(shutCtx); err != nil {

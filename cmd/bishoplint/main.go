@@ -21,67 +21,82 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array with stable field order")
-	list := flag.Bool("list", false, "list the checks in the suite and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: bishoplint [-json] [-list] [./...]\n")
-		flag.PrintDefaults()
+	findings, err := run(os.Args[1:], os.Stdout)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		// -h: the flag set has printed the usage
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "bishoplint:", err)
+		os.Exit(2)
+	case findings:
+		os.Exit(1)
 	}
-	flag.Parse()
+}
+
+// run lints the module enclosing the working directory and prints the
+// findings to stdout; findings reports whether there were any.
+func run(args []string, stdout io.Writer) (findings bool, err error) {
+	fs := flag.NewFlagSet("bishoplint", flag.ContinueOnError)
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array with stable field order")
+	list := fs.Bool("list", false, "list the checks in the suite and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: bishoplint [-json] [-list] [./...]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return false, err
+	}
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-20s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-20s %s\n", a.Name, a.Doc)
 		}
-		return
+		return false, nil
 	}
-	for _, arg := range flag.Args() {
+	for _, arg := range fs.Args() {
 		if arg != "./..." {
-			fmt.Fprintf(os.Stderr, "bishoplint: unsupported pattern %q (the suite always lints the whole module; use ./...)\n", arg)
-			os.Exit(2)
+			return false, fmt.Errorf("unsupported pattern %q (the suite always lints the whole module; use ./...)", arg)
 		}
 	}
 
 	mod, err := lint.Load(".")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bishoplint:", err)
-		os.Exit(2)
+		return false, err
 	}
 	diags := mod.Lint()
 	if len(mod.TypeErrors) > 0 {
 		// A module that does not type-check cannot be trusted to lint
 		// clean: surface the errors and fail hard.
-		for _, e := range mod.TypeErrors {
-			fmt.Fprintln(os.Stderr, "bishoplint: typecheck:", e)
-		}
-		os.Exit(2)
+		return false, fmt.Errorf("typecheck: %w", errors.Join(mod.TypeErrors...))
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if diags == nil {
 			diags = []lint.Diagnostic{}
 		}
 		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(os.Stderr, "bishoplint:", err)
-			os.Exit(2)
+			return false, err
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "bishoplint: %d finding(s) in %d package(s)\n", len(diags), len(mod.Packages))
-		os.Exit(1)
+		return true, nil
 	}
+	return false, nil
 }

@@ -48,8 +48,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"slices"
@@ -63,77 +65,108 @@ import (
 )
 
 func main() {
-	models := flag.String("models", "3", "comma-separated Table 2 model indices (1-5)")
-	bsa := flag.String("bsa", "false", "comma-separated BSA axis values (false,true)")
-	backends := flag.String("backends", "bishop", "comma-separated accelerator backends (bishop,ptb,gpu)")
-	shapes := flag.String("shapes", "", "comma-separated TTB shapes as BStxBSn, e.g. 4x2,2x2 (default 4x2)")
-	thetas := flag.String("thetas", "", "comma-separated stratification thresholds; -1 = split balancing (default -1)")
-	splits := flag.String("splits", "", "comma-separated dense-fraction targets for balancing (default 0.5)")
-	stratify := flag.String("stratify", "", "comma-separated stratify axis values (default true)")
-	ecp := flag.String("ecp", "", "comma-separated ECP thetas; 0 = off (default 0)")
-	random := flag.Int("random", 0, "sample N random points from the space instead of the full grid")
-	seed := flag.Uint64("seed", 1, "trace seed (and random-search seed)")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint path; enables resume")
-	traceDir := flag.String("trace-dir", "", "shared trace-store directory: load traces by digest, generate+persist on miss (lets shards share one trace set)")
-	shard := flag.String("shard", "", "shard spec i/n: evaluate point i mod n == i only")
-	jobs := flag.Int("jobs", 0, "parallel evaluators (0 = all CPUs)")
-	frontier := flag.String("frontier", "", "write the Pareto frontier JSON to this path")
-	specPath := flag.String("spec", "", "run this saved sweep spec instead of compiling one from flags")
-	printSpec := flag.Bool("print-spec", false, "print the compiled sweep spec as JSON and exit without evaluating")
-	records := flag.String("records", "", "write the merged record set as JSONL to this path")
-	resultCache := flag.String("result-cache", "", "digest-addressed result-cache directory (shared with bishopd)")
-	rungs := flag.String("rungs", "", "successive-halving fidelity ladder as trace-scale divisors, e.g. 8,4,1 (enables search mode)")
-	eta := flag.Int("eta", 0, "halving ratio: keep ~1/eta of each rung's candidates (default 2; search mode)")
-	objective := flag.String("objective", "", "promotion objective: latency, energy, edp, or pareto (default edp; search mode)")
-	minSurvivors := flag.Int("min-survivors", 0, "promotion floor per rung (default 1; search mode)")
-	searchPath := flag.String("search", "", "run this saved search spec (successive-halving) instead of compiling one from flags")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return // -h: the flag set has printed the usage
+		}
+		fmt.Fprintln(os.Stderr, "dse:", strings.TrimPrefix(err.Error(), "dse: "))
+		os.Exit(1)
+	}
+}
+
+// definitionFlags define what a sweep is. A saved -spec or -search document
+// is the whole definition, so none of them may be set alongside one.
+var definitionFlags = []string{"models", "bsa", "backends", "shapes", "thetas", "splits", "stratify", "ecp", "random", "seed"}
+
+// run parses args, then compiles, prints or executes the sweep or search
+// they describe, writing its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dse", flag.ContinueOnError)
+	models := fs.String("models", "3", "comma-separated Table 2 model indices (1-5)")
+	bsa := fs.String("bsa", "false", "comma-separated BSA axis values (false,true)")
+	backends := fs.String("backends", "bishop", "comma-separated accelerator backends (bishop,ptb,gpu)")
+	shapes := fs.String("shapes", "", "comma-separated TTB shapes as BStxBSn, e.g. 4x2,2x2 (default 4x2)")
+	thetas := fs.String("thetas", "", "comma-separated stratification thresholds; -1 = split balancing (default -1)")
+	splits := fs.String("splits", "", "comma-separated dense-fraction targets for balancing (default 0.5)")
+	stratify := fs.String("stratify", "", "comma-separated stratify axis values (default true)")
+	ecp := fs.String("ecp", "", "comma-separated ECP thetas; 0 = off (default 0)")
+	random := fs.Int("random", 0, "sample N random points from the space instead of the full grid")
+	seed := fs.Uint64("seed", 1, "trace seed (and random-search seed)")
+	checkpoint := fs.String("checkpoint", "", "JSONL checkpoint path; enables resume")
+	traceDir := fs.String("trace-dir", "", "shared trace-store directory: load traces by digest, generate+persist on miss (lets shards share one trace set)")
+	shard := fs.String("shard", "", "shard spec i/n: evaluate point i mod n == i only")
+	jobs := fs.Int("jobs", 0, "parallel evaluators (0 = all CPUs)")
+	frontier := fs.String("frontier", "", "write the Pareto frontier JSON to this path")
+	specPath := fs.String("spec", "", "run this saved sweep spec instead of compiling one from flags")
+	printSpec := fs.Bool("print-spec", false, "print the compiled sweep spec as JSON and exit without evaluating")
+	records := fs.String("records", "", "write the merged record set as JSONL to this path")
+	resultCache := fs.String("result-cache", "", "digest-addressed result-cache directory (shared with bishopd)")
+	rungs := fs.String("rungs", "", "successive-halving fidelity ladder as trace-scale divisors, e.g. 8,4,1 (enables search mode)")
+	eta := fs.Int("eta", 0, "halving ratio: keep ~1/eta of each rung's candidates (default 2; search mode)")
+	objective := fs.String("objective", "", "promotion objective: latency, energy, edp, or pareto (default edp; search mode)")
+	minSurvivors := fs.Int("min-survivors", 0, "promotion floor per rung (default 1; search mode)")
+	searchPath := fs.String("search", "", "run this saved search spec (successive-halving) instead of compiling one from flags")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	// loadSaved reads the saved -doc document at path through decode. The
+	// document is the whole definition, so a definition flag (or any of
+	// extra) set alongside it is an error. The execution attachments still
+	// apply: each of -checkpoint, -trace-dir and -jobs given on the command
+	// line replaces the decoded value.
+	loadSaved := func(doc, path string, decode func([]byte) error, ckpt, dir *string, j *int, extra ...string) error {
+		for _, name := range append(slices.Clone(definitionFlags), extra...) {
+			if set[name] {
+				return fmt.Errorf("-%s conflicts with -%s; edit the spec file instead", name, doc)
+			}
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := decode(data); err != nil {
+			return err
+		}
+		if set["checkpoint"] {
+			*ckpt = *checkpoint
+		}
+		if set["trace-dir"] {
+			*dir = *traceDir
+		}
+		if set["jobs"] {
+			*j = *jobs
+		}
+		return nil
+	}
 
 	if *searchPath != "" || *rungs != "" {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "spec":
-				fatal(fmt.Errorf("-spec conflicts with search mode; use -search for a saved search document"))
-			case "shard":
-				fatal(fmt.Errorf("-shard does not apply to search mode (use bishopctl search for distributed runs)"))
-			}
-			if *searchPath != "" {
-				switch f.Name {
-				case "models", "bsa", "backends", "shapes", "thetas", "splits",
-					"stratify", "ecp", "random", "seed",
-					"rungs", "eta", "objective", "min-survivors":
-					fatal(fmt.Errorf("-%s conflicts with -search; edit the spec file instead", f.Name))
-				}
-			}
-		})
+		if set["spec"] {
+			return fmt.Errorf("-spec conflicts with search mode; use -search for a saved search document")
+		}
+		if set["shard"] {
+			return fmt.Errorf("-shard does not apply to search mode (use bishopctl search for distributed runs)")
+		}
 		var spec dse.SearchSpec
 		if *searchPath != "" {
-			data, err := os.ReadFile(*searchPath)
+			err := loadSaved("search", *searchPath, func(data []byte) (err error) {
+				spec, err = dse.DecodeSearchSpec(data)
+				return err
+			}, &spec.Checkpoint, &spec.TraceDir, &spec.Jobs, "rungs", "eta", "objective", "min-survivors")
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			if spec, err = dse.DecodeSearchSpec(data); err != nil {
-				fatal(err)
-			}
-			flag.Visit(func(f *flag.Flag) {
-				switch f.Name {
-				case "checkpoint":
-					spec.Checkpoint = *checkpoint
-				case "trace-dir":
-					spec.TraceDir = *traceDir
-				case "jobs":
-					spec.Jobs = *jobs
-				}
-			})
 		} else {
 			space, err := parseSpace(*models, *bsa, *shapes, *thetas, *splits, *stratify, *ecp)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			space.Backends = split(*backends)
 			ladder, err := csvInts(*rungs)
 			if err != nil {
-				fatal(fmt.Errorf("-rungs: %w", err))
+				return fmt.Errorf("-rungs: %w", err)
 			}
 			spec = dse.SearchSpec{
 				Space: space, Random: *random, Seed: *seed,
@@ -141,51 +174,27 @@ func main() {
 				Checkpoint: *checkpoint, TraceDir: *traceDir, Jobs: *jobs,
 			}
 		}
-		runSearch(spec, *printSpec, *frontier, *records, *resultCache)
-		return
+		return runSearch(stdout, spec, *printSpec, *frontier, *records, *resultCache)
 	}
-	for _, bad := range []struct {
-		set  bool
-		name string
-	}{{*eta != 0, "eta"}, {*objective != "", "objective"}, {*minSurvivors != 0, "min-survivors"}} {
-		if bad.set {
-			fatal(fmt.Errorf("-%s only applies to search mode (-rungs or -search)", bad.name))
+	for _, name := range []string{"eta", "objective", "min-survivors"} {
+		if set[name] {
+			return fmt.Errorf("-%s only applies to search mode (-rungs or -search)", name)
 		}
 	}
 
 	var spec dse.SweepSpec
 	if *specPath != "" {
-		// A saved spec is the whole sweep definition: reject flags that
-		// would silently change what it means. Execution attachments
-		// (where to checkpoint, trace, parallelize) may still override.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "models", "bsa", "backends", "shapes", "thetas", "splits",
-				"stratify", "ecp", "random", "seed", "shard":
-				fatal(fmt.Errorf("-%s conflicts with -spec; edit the spec file instead", f.Name))
-			}
-		})
-		data, err := os.ReadFile(*specPath)
+		err := loadSaved("spec", *specPath, func(data []byte) (err error) {
+			spec, err = dse.DecodeSpec(data)
+			return err
+		}, &spec.Checkpoint, &spec.TraceDir, &spec.Jobs, "shard")
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if spec, err = dse.DecodeSpec(data); err != nil {
-			fatal(err)
-		}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "checkpoint":
-				spec.Checkpoint = *checkpoint
-			case "trace-dir":
-				spec.TraceDir = *traceDir
-			case "jobs":
-				spec.Jobs = *jobs
-			}
-		})
 	} else {
 		space, err := parseSpace(*models, *bsa, *shapes, *thetas, *splits, *stratify, *ecp)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		space.Backends = split(*backends)
 		spec = dse.SweepSpec{
@@ -198,20 +207,20 @@ func main() {
 		}
 		if *shard != "" {
 			if spec.Shard, spec.Shards, err = parseShard(*shard); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 	}
 	if err := spec.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	if *printSpec {
 		data, err := dse.EncodeSpec(spec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		os.Stdout.Write(data)
-		return
+		_, err = stdout.Write(data)
+		return err
 	}
 
 	var opt serve.RunOptions
@@ -220,66 +229,46 @@ func main() {
 	}
 	res, err := serve.Run(context.Background(), spec, opt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rs := res.Set
 	norm := spec.Normalized()
-	fmt.Printf("evaluated %d points (%d reused from checkpoint or duplicates); %d/%d records (shard %d/%d, seed %d)\n",
+	fmt.Fprintf(stdout, "evaluated %d points (%d reused from checkpoint or duplicates); %d/%d records (shard %d/%d, seed %d)\n",
 		rs.Evaluated, len(rs.Records)-rs.Evaluated, len(rs.Records), len(rs.Points),
 		norm.Shard, norm.Shards, norm.Seed)
 	byBackend := dse.ByBackend(rs.Records)
 	for _, name := range slices.Sorted(maps.Keys(byBackend)) {
-		fmt.Printf("backend %s: %d records\n", name, len(byBackend[name]))
+		fmt.Fprintf(stdout, "backend %s: %d records\n", name, len(byBackend[name]))
 	}
-	if norm.TraceDir != "" {
-		h, m, e := workload.TraceStoreStats()
-		fmt.Printf("trace store %s: %d hits, %d misses, %d errors\n", norm.TraceDir, h, m, e)
-	}
-	if *resultCache != "" {
-		fmt.Printf("result cache %s: %d hits, %d misses\n", *resultCache, res.CacheHits, res.CacheMisses)
-	}
-	fmt.Println()
+	printCacheStats(stdout, norm.TraceDir, *resultCache, res)
 
 	front := dse.Frontier(rs.Records)
-	fmt.Println("latency/energy Pareto frontier:")
-	dse.FprintFrontier(os.Stdout, front)
-
-	if *frontier != "" {
-		data, err := dse.EncodeFrontier(front, len(rs.Records))
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*frontier, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s (%d frontier points)\n", *frontier, len(front))
-	}
-	if *records != "" {
-		if err := writeRecords(*records, rs.Records); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s (%d records)\n", *records, len(rs.Records))
+	fmt.Fprintln(stdout, "latency/energy Pareto frontier:")
+	dse.FprintFrontier(stdout, front)
+	if err := writeOutputs(stdout, front, rs.Records, *frontier, *records, "records"); err != nil {
+		return err
 	}
 	if !rs.Complete() {
-		fmt.Printf("\n%d points remain (other shards, or resume with the same -checkpoint)\n",
+		fmt.Fprintf(stdout, "\n%d points remain (other shards, or resume with the same -checkpoint)\n",
 			len(rs.Points)-len(rs.Records))
 	}
+	return nil
 }
 
 // runSearch executes (or, with printSpec, just compiles) a
 // successive-halving search and reports the rung progression, the survivor
 // frontier, and the full-fidelity cost against the equivalent grid sweep.
-func runSearch(spec dse.SearchSpec, printSpec bool, frontier, records, resultCache string) {
+func runSearch(stdout io.Writer, spec dse.SearchSpec, printSpec bool, frontier, records, resultCache string) error {
 	if err := spec.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	if printSpec {
 		data, err := dse.EncodeSearchSpec(spec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		os.Stdout.Write(data)
-		return
+		_, err = stdout.Write(data)
+		return err
 	}
 	var opt serve.RunOptions
 	if resultCache != "" {
@@ -287,53 +276,54 @@ func runSearch(spec dse.SearchSpec, printSpec bool, frontier, records, resultCac
 	}
 	res, err := serve.RunSearch(context.Background(), spec, opt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	sr := res.Search
 	norm := spec.Normalized()
-	grid := len(norm.Points())
-	fmt.Printf("search: objective %s, eta %d, rungs %v (seed %d)\n",
+	fmt.Fprintf(stdout, "search: objective %s, eta %d, rungs %v (seed %d)\n",
 		norm.Objective, norm.Eta, norm.Rungs, norm.Seed)
-	fullFidelity := 0
-	for i, rung := range sr.Rungs {
-		label := fmt.Sprintf("fidelity 1/%d", rung.Fidelity)
-		if rung.Fidelity <= 1 {
-			label = "full fidelity"
-			fullFidelity = rung.Candidates
-		}
-		fmt.Printf("rung %d: %-13s %3d candidates, %3d evaluated, %3d promoted\n",
-			i+1, label, rung.Candidates, rung.Evaluated, rung.Survivors)
-	}
-	fmt.Printf("search total: %d fresh evaluations this run\n", sr.Evaluated)
-	fmt.Printf("full-fidelity evaluations: %d of %d grid points\n", fullFidelity, grid)
-	if norm.TraceDir != "" {
-		h, m, e := workload.TraceStoreStats()
-		fmt.Printf("trace store %s: %d hits, %d misses, %d errors\n", norm.TraceDir, h, m, e)
-	}
-	if resultCache != "" {
-		fmt.Printf("result cache %s: %d hits, %d misses\n", resultCache, res.CacheHits, res.CacheMisses)
-	}
-	fmt.Println()
+	dse.FprintRungs(stdout, "", res.Search.Rungs, len(norm.Points()))
+	fmt.Fprintf(stdout, "search total: %d fresh evaluations this run\n", res.Search.Evaluated)
+	printCacheStats(stdout, norm.TraceDir, resultCache, res)
 
 	front := dse.Frontier(res.Set.Records)
-	fmt.Println("survivor latency/energy Pareto frontier:")
-	dse.FprintFrontier(os.Stdout, front)
+	fmt.Fprintln(stdout, "survivor latency/energy Pareto frontier:")
+	dse.FprintFrontier(stdout, front)
+	return writeOutputs(stdout, front, res.Set.Records, frontier, records, "survivor records")
+}
+
+// printCacheStats reports the trace store's and the result cache's hits
+// and misses for whichever of the two the run used, then a blank line.
+func printCacheStats(stdout io.Writer, traceDir, resultCache string, res *serve.RunResult) {
+	if traceDir != "" {
+		h, m, e := workload.TraceStoreStats()
+		fmt.Fprintf(stdout, "trace store %s: %d hits, %d misses, %d errors\n", traceDir, h, m, e)
+	}
+	if resultCache != "" {
+		fmt.Fprintf(stdout, "result cache %s: %d hits, %d misses\n", resultCache, res.CacheHits, res.CacheMisses)
+	}
+	fmt.Fprintln(stdout)
+}
+
+// writeOutputs writes the frontier JSON and the record dump to the paths
+// given (either may be empty), noting each file written on stdout.
+func writeOutputs(stdout io.Writer, front, recs []dse.Record, frontier, records, noun string) error {
 	if frontier != "" {
-		data, err := dse.EncodeFrontier(front, len(res.Set.Records))
+		data, err := dse.EncodeFrontier(front, len(recs))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := os.WriteFile(frontier, data, 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("\nwrote %s (%d frontier points)\n", frontier, len(front))
+		fmt.Fprintf(stdout, "\nwrote %s (%d frontier points)\n", frontier, len(front))
 	}
 	if records != "" {
-		if err := writeRecords(records, res.Set.Records); err != nil {
-			fatal(err)
+		if err := writeRecords(records, recs); err != nil {
+			return err
 		}
-		fmt.Printf("\nwrote %s (%d survivor records)\n", records, len(res.Set.Records))
+		fmt.Fprintf(stdout, "\nwrote %s (%d %s)\n", records, len(recs), noun)
 	}
+	return nil
 }
 
 // writeRecords dumps the merged record set as JSONL — the same line format
@@ -460,9 +450,4 @@ func csvShapes(s string) ([]bundle.Shape, error) {
 		out = append(out, bundle.Shape{BSt: bst, BSn: bsn})
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dse:", strings.TrimPrefix(err.Error(), "dse: "))
-	os.Exit(1)
 }

@@ -6,8 +6,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -18,22 +20,36 @@ import (
 )
 
 func main() {
-	seed := flag.Uint64("seed", 1, "trace seed")
-	jobs := flag.Int("jobs", 0, "max parallel workers (0 = all CPUs)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return // -h: the flag set has printed the usage
+		}
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and prints the workload analysis to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
+	seed := fs.Uint64("seed", 1, "trace seed")
+	jobs := fs.Int("jobs", 0, "max parallel workers (0 = all CPUs)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *jobs > 0 {
 		runtime.GOMAXPROCS(*jobs)
 	}
 
-	fmt.Println("Analytic FLOPs breakdown (dense equivalents, §2.2):")
+	fmt.Fprintln(stdout, "Analytic FLOPs breakdown (dense equivalents, §2.2):")
 	for _, cfg := range transformer.ModelZoo() {
 		b := profiler.Profile(cfg)
-		fmt.Printf("  %-22s total %8.2f GFLOP  attn %5.1f%%  mlp %5.1f%%  proj %5.1f%%  attn+mlp %5.1f%%\n",
+		fmt.Fprintf(stdout, "  %-22s total %8.2f GFLOP  attn %5.1f%%  mlp %5.1f%%  proj %5.1f%%  attn+mlp %5.1f%%\n",
 			cfg.Name, b.Total()/1e9, 100*b.Attention/b.Total(),
 			100*b.MLP/b.Total(), 100*b.Projection/b.Total(), 100*b.AttnMLPShare())
 	}
 
-	fmt.Println("\nSpike-driven operation counts (synthetic activity traces):")
+	fmt.Fprintln(stdout, "\nSpike-driven operation counts (synthetic activity traces):")
 	scs := workload.Scenarios()
 	zoo := transformer.ModelZoo()
 	lines, err := sched.Collect(context.Background(), len(zoo), *jobs,
@@ -46,10 +62,10 @@ func main() {
 				cfg.Name, ops.Total()/1e9, 100*ops.Total()/dense.Total()), nil
 		})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	for _, l := range lines {
-		fmt.Println(l)
+		fmt.Fprintln(stdout, l)
 	}
+	return nil
 }

@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -28,50 +30,54 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	var err error
-	switch os.Args[1] {
-	case "pack":
-		err = pack(os.Args[2:])
-	case "info":
-		err = info(os.Args[2:])
-	case "verify":
-		err = verify(os.Args[2:])
-	case "sim":
-		err = sim(os.Args[2:])
-	default:
-		usage()
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return // -h: the flag set has printed the usage
+		}
 		fmt.Fprintln(os.Stderr, "trace:", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: trace <pack|info|verify|sim> [flags] [files]
+const usage = `usage: trace <pack|info|verify|sim> [flags] [files]
   pack    generate synthetic Table 2 traces into a store (-dir) or file (-o)
   info    print trace-file metadata without decoding the payload
   verify  fully decode each file, checking CRCs, digest, and invariants
-  sim     run a trace file through accel.Simulate (default options)`)
-	os.Exit(2)
+  sim     run a trace file through accel.Simulate (default options)`
+
+// run dispatches args[0] to its subcommand, which reports on stdout.
+func run(args []string, stdout io.Writer) error {
+	if len(args) == 0 {
+		return errors.New(usage)
+	}
+	switch args[0] {
+	case "pack":
+		return pack(args[1:], stdout)
+	case "info":
+		return info(args[1:], stdout)
+	case "verify":
+		return verify(args[1:], stdout)
+	case "sim":
+		return sim(args[1:], stdout)
+	}
+	return fmt.Errorf("unknown subcommand %q\n%s", args[0], usage)
 }
 
 // pack generates the synthetic traces for a models × BSA grid. With -dir it
 // fills a digest-addressed store (the layout cmd/dse -trace-dir reads, keyed
 // by workload.TraceDigest, skipping traces already present); with -o it
 // writes a single combination to one file with provenance metadata.
-func pack(args []string) error {
-	fs := flag.NewFlagSet("pack", flag.ExitOnError)
+func pack(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("pack", flag.ContinueOnError)
 	models := fs.String("models", "3", "comma-separated Table 2 model indices (1-5)")
 	bsa := fs.String("bsa", "false", "comma-separated BSA axis values (false,true)")
 	seed := fs.Uint64("seed", 1, "trace seed")
 	shape := fs.String("shape", "", "TTB shape as BStxBSn (default 4x2)")
 	dir := fs.String("dir", "", "write into this digest-addressed trace store")
 	out := fs.String("o", "", "write a single trace to this file (exactly one model and BSA value)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	ms, err := csvInts(*models)
 	if err != nil {
@@ -105,14 +111,14 @@ func pack(args []string) error {
 				st := tracefile.Store{Dir: *dir}
 				key := workload.TraceDigest(cfg, sc, opt, *seed)
 				if _, err := os.Stat(st.Path(key)); err == nil {
-					fmt.Printf("exists  %s (model %d bsa=%v seed %d)\n", st.Path(key), m, b, *seed)
+					fmt.Fprintf(stdout, "exists  %s (model %d bsa=%v seed %d)\n", st.Path(key), m, b, *seed)
 					continue
 				}
 				tr := workload.SyntheticTrace(cfg, sc, opt, *seed)
 				if err := st.Save(key, tr); err != nil {
 					return err
 				}
-				fmt.Printf("packed  %s (model %d bsa=%v seed %d, %d layers)\n",
+				fmt.Fprintf(stdout, "packed  %s (model %d bsa=%v seed %d, %d layers)\n",
 					st.Path(key), m, b, *seed, len(tr.Layers))
 				continue
 			}
@@ -136,14 +142,14 @@ func pack(args []string) error {
 				os.Remove(*out)
 				return err
 			}
-			fmt.Printf("packed  %s (model %d bsa=%v seed %d, %d layers, digest %016x)\n",
+			fmt.Fprintf(stdout, "packed  %s (model %d bsa=%v seed %d, %d layers, digest %016x)\n",
 				*out, m, b, *seed, len(tr.Layers), dig)
 		}
 	}
 	return nil
 }
 
-func info(paths []string) error {
+func info(paths []string, stdout io.Writer) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("info: no files given")
 	}
@@ -153,19 +159,19 @@ func info(paths []string) error {
 			return err
 		}
 		h := in.Header
-		fmt.Printf("%s: v%d %s (%d blocks, T=%d N=%d D=%d), %d layers, payload %d B, digest %016x\n",
+		fmt.Fprintf(stdout, "%s: v%d %s (%d blocks, T=%d N=%d D=%d), %d layers, payload %d B, digest %016x\n",
 			p, in.Version, h.Config.Name, h.Config.Blocks, h.Config.T, h.Config.N, h.Config.D,
 			len(h.Layers), in.PayloadBytes, in.Digest)
 		for _, k := range []string{"source", "model", "bsa", "seed"} {
 			if v, ok := h.Meta[k]; ok {
-				fmt.Printf("  meta %s=%s\n", k, v)
+				fmt.Fprintf(stdout, "  meta %s=%s\n", k, v)
 			}
 		}
 	}
 	return nil
 }
 
-func verify(paths []string) error {
+func verify(paths []string, stdout io.Writer) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("verify: no files given")
 	}
@@ -179,7 +185,7 @@ func verify(paths []string) error {
 			l := &tr.Layers[i]
 			spikes += countSpikes(l.In, l.Q, l.K, l.V)
 		}
-		fmt.Printf("ok      %s (%d layers, %d spikes)\n", p, len(tr.Layers), spikes)
+		fmt.Fprintf(stdout, "ok      %s (%d layers, %d spikes)\n", p, len(tr.Layers), spikes)
 	}
 	return nil
 }
@@ -196,9 +202,11 @@ func countSpikes(ts ...*spike.Tensor) int {
 
 // sim is the external-trace import path: any valid trace file — however it
 // was produced — runs through the Bishop simulator.
-func sim(args []string) error {
-	fs := flag.NewFlagSet("sim", flag.ExitOnError)
-	fs.Parse(args)
+func sim(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sim", flag.ContinueOnError)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("sim: want exactly one trace file")
 	}
@@ -207,12 +215,12 @@ func sim(args []string) error {
 		return err
 	}
 	rep := accel.Simulate(tr, accel.DefaultOptions())
-	fmt.Printf("%s on %s: latency %.4f ms, energy %.4f mJ, EDP %.4g pJ*s\n",
+	fmt.Fprintf(stdout, "%s on %s: latency %.4f ms, energy %.4f mJ, EDP %.4g pJ*s\n",
 		fs.Arg(0), rep.Name, rep.LatencyMS(), rep.EnergyMJ(), rep.EDP())
 	order, totals := rep.GroupTotals()
 	for _, g := range order {
 		t := totals[g]
-		fmt.Printf("  %-4s %12d cycles %14.4g pJ\n", g, t.Cycles, t.EnergyPJ())
+		fmt.Fprintf(stdout, "  %-4s %12d cycles %14.4g pJ\n", g, t.Cycles, t.EnergyPJ())
 	}
 	return nil
 }

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bundle"
@@ -21,15 +23,30 @@ import (
 )
 
 func main() {
-	name := flag.String("dataset", "cifar10", "cifar10|cifar100|imagenet100|dvs|speech")
-	epochs := flag.Int("epochs", 8, "training epochs")
-	trainN := flag.Int("train", 200, "training samples")
-	testN := flag.Int("test", 100, "test samples")
-	lr := flag.Float64("lr", 0.002, "AdamW learning rate")
-	lambda := flag.Float64("bsa", 0, "BSA lambda (0 disables)")
-	theta := flag.Int("ecp", 0, "ECP threshold for ECP-aware training (0 disables)")
-	seed := flag.Uint64("seed", 1, "seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return // -h: the flag set has printed the usage
+		}
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, trains the model they describe and reports on stdout.
+// The trainer prints its per-epoch lines to the process's standard output.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("trainsnn", flag.ContinueOnError)
+	name := fs.String("dataset", "cifar10", "cifar10|cifar100|imagenet100|dvs|speech")
+	epochs := fs.Int("epochs", 8, "training epochs")
+	trainN := fs.Int("train", 200, "training samples")
+	testN := fs.Int("test", 100, "test samples")
+	lr := fs.Float64("lr", 0.002, "AdamW learning rate")
+	lambda := fs.Float64("bsa", 0, "BSA lambda (0 disables)")
+	theta := fs.Int("ecp", 0, "ECP threshold for ECP-aware training (0 disables)")
+	seed := fs.Uint64("seed", 1, "seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var ds *dataset.Dataset
 	switch *name {
@@ -44,8 +61,7 @@ func main() {
 	case "speech":
 		ds = dataset.SpeechCommandsLike(*trainN, *testN, *seed)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *name)
-		os.Exit(2)
+		return fmt.Errorf("unknown dataset %q", *name)
 	}
 
 	T := ds.T
@@ -68,8 +84,9 @@ func main() {
 	tr := &train.Trainer{Model: m, Opt: train.NewAdamW(float32(*lr), 1e-4),
 		ClipL2: 5, Verbose: true}
 	acc := tr.Run(ds, *epochs)
-	fmt.Printf("\n%s: test accuracy %.3f (%d classes, chance %.3f)\n",
+	fmt.Fprintf(stdout, "\n%s: test accuracy %.3f (%d classes, chance %.3f)\n",
 		ds.Name, acc, ds.Classes, 1/float64(ds.Classes))
-	fmt.Printf("mean regularized spike density: %.4f\n", tr.MeanSpikeDensity(ds))
-	fmt.Printf("parameters: %d\n", m.NumParams())
+	fmt.Fprintf(stdout, "mean regularized spike density: %.4f\n", tr.MeanSpikeDensity(ds))
+	fmt.Fprintf(stdout, "parameters: %d\n", m.NumParams())
+	return nil
 }

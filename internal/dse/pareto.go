@@ -115,6 +115,23 @@ func EncodeFrontier(front []Record, evaluated int, objs ...Objective) ([]byte, e
 	return json.MarshalIndent(fj, "", "  ")
 }
 
+// FprintRungs renders a search's rung progression, one line per rung, then
+// how many of the grid's points reached full fidelity. Every line starts
+// with prefix.
+func FprintRungs(w io.Writer, prefix string, rungs []RungSummary, gridPoints int) {
+	full := 0
+	for i, rung := range rungs {
+		label := fmt.Sprintf("fidelity 1/%d", rung.Fidelity)
+		if rung.Fidelity <= 1 {
+			label = "full fidelity"
+			full = rung.Candidates
+		}
+		fmt.Fprintf(w, "%srung %d: %-13s %3d candidates, %3d evaluated, %3d promoted\n",
+			prefix, i+1, label, rung.Candidates, rung.Evaluated, rung.Survivors)
+	}
+	fmt.Fprintf(w, "%sfull-fidelity evaluations: %d of %d grid points\n", prefix, full, gridPoints)
+}
+
 // FprintFrontier renders the frontier as an aligned ASCII table, one row
 // per point with its backend in the leading column.
 func FprintFrontier(w io.Writer, front []Record) {

@@ -157,6 +157,22 @@ func TestSearchHalvesBudgetAndMatchesGrid(t *testing.T) {
 	}
 }
 
+// TestFprintRungs pins the shared rung report of cmd/dse and bishopctl:
+// one line per rung, then the full-fidelity count against the grid.
+func TestFprintRungs(t *testing.T) {
+	var sb strings.Builder
+	FprintRungs(&sb, "ctl: ", []RungSummary{
+		{Fidelity: 8, Candidates: 96, Evaluated: 96, Survivors: 48},
+		{Fidelity: 1, Candidates: 24, Evaluated: 0, Survivors: 24},
+	}, 96)
+	want := "ctl: rung 1: fidelity 1/8   96 candidates,  96 evaluated,  48 promoted\n" +
+		"ctl: rung 2: full fidelity  24 candidates,   0 evaluated,  24 promoted\n" +
+		"ctl: full-fidelity evaluations: 24 of 96 grid points\n"
+	if sb.String() != want {
+		t.Fatalf("FprintRungs:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
+
 // TestSearchObjectivesDiverge sanity-checks that the objective actually
 // steers promotion: latency- and energy-ranked searches over a space with
 // real latency/energy tension keep different survivor sets.

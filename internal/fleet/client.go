@@ -305,45 +305,6 @@ func (w *Worker) Status(ctx context.Context, id string) (serve.JobStatus, error)
 	return st, nil
 }
 
-// HealthState classifies a worker's /healthz answer.
-type HealthState int
-
-const (
-	HealthOK HealthState = iota
-	// HealthDraining: the worker answered 503 "draining" — alive, finishing
-	// its jobs, but refusing new work. Coordinators must not lease to it.
-	HealthDraining
-	// HealthDown: no usable answer.
-	HealthDown
-)
-
-// Health probes /healthz once (no retries — the probe IS the cheap signal)
-// outside the circuit breaker, so a recovering host can be noticed while its
-// breaker is still open.
-func (w *Worker) Health(ctx context.Context) HealthState {
-	rctx, cancel := context.WithTimeout(ctx, w.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, w.base+"/healthz", nil)
-	if err != nil {
-		return HealthDown
-	}
-	resp, err := w.hc.Do(req)
-	if err != nil {
-		return HealthDown
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64))
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		return HealthOK
-	case resp.StatusCode == http.StatusServiceUnavailable &&
-		strings.TrimSpace(string(body)) == "draining":
-		return HealthDraining
-	default:
-		return HealthDown
-	}
-}
-
 // BreakerOpen reports whether the worker's circuit breaker currently fails
 // calls fast.
 func (w *Worker) BreakerOpen() bool { return w.br.open() }

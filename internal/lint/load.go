@@ -53,7 +53,7 @@ type Module struct {
 
 // skipDir reports whether a directory is excluded from package discovery:
 // testdata trees (analyzer fixtures), vendored code, and hidden or
-// underscore-prefixed directories (.git, .smoke, _obj), matching the go
+// underscore-prefixed directories (.git, .bench-gate, _obj), matching the go
 // tool's own ignore rules.
 func skipDir(name string) bool {
 	if name == "testdata" || name == "vendor" || name == "node_modules" {

@@ -229,10 +229,9 @@ type Manager struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	closed   bool
-	draining bool
+	mu     sync.Mutex
+	jobs   map[string]*Job
+	closed bool
 	// Completed-run statistics behind the Retry-After estimate: how many
 	// sweeps finished cleanly and how long they ran in total.
 	completedRuns int
@@ -300,7 +299,7 @@ func (m *Manager) SubmitSearch(spec dse.SearchSpec) (j *Job, created bool, err e
 func (m *Manager) admit(id string, points int, spec dse.SweepSpec, search *dse.SearchSpec) (j *Job, created bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed || m.draining {
+	if m.closed {
 		return nil, false, ErrClosed
 	}
 	runs := 1
@@ -408,22 +407,12 @@ func estimateRetryAfter(queued int, mean time.Duration) time.Duration {
 	return est
 }
 
-// BeginDrain flips the manager into drain mode: new submissions are rejected
-// with ErrClosed while already-admitted jobs keep running. Idempotent, and
-// implied by Close; bishopd calls it the moment SIGTERM arrives so /healthz
-// flips to 503 "draining" before the job queue unwinds — coordinators and
-// load balancers stop routing new shards to a departing worker.
-func (m *Manager) BeginDrain() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.draining = true
-}
-
-// Draining reports whether the manager has begun (or finished) draining.
+// Draining reports whether Close has been called: the manager admits no
+// more jobs, though the ones it accepted may still be running.
 func (m *Manager) Draining() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.draining || m.closed
+	return m.closed
 }
 
 // Close drains the manager: no new submissions are admitted, jobs already

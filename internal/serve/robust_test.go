@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -35,10 +36,13 @@ func TestEstimateRetryAfter(t *testing.T) {
 }
 
 // TestHealthzDrainingFlip pins the worker-departure signal: /healthz serves
-// 200 "ok" normally and flips to 503 "draining" the moment BeginDrain is
-// called, while submissions start rejecting.
+// 200 "ok" normally and flips to 503 "draining" as soon as Close begins,
+// while a parked job is still running and submissions start rejecting.
 func TestHealthzDrainingFlip(t *testing.T) {
-	ts, m := newTestServer(t, ManagerConfig{})
+	started := make(chan string, 1)
+	m := NewManager(ManagerConfig{RunFunc: blockingRunFunc(started)})
+	ts := httptest.NewServer(NewServer(m).Handler())
+	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +53,27 @@ func TestHealthzDrainingFlip(t *testing.T) {
 		t.Fatalf("healthz before drain: %d %q", resp.StatusCode, body)
 	}
 
-	m.BeginDrain()
+	j, _, err := m.Submit(specWithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	closeCtx, cancel := context.WithCancel(context.Background())
+	closed := make(chan error, 1)
+	go func() { closed <- m.Close(closeCtx) }()
+	defer func() {
+		cancel() // let Close cancel the parked job
+		if err := <-closed; err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !m.Draining() {
+		if time.Now().After(deadline) {
+			t.Fatal("manager never began draining")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +81,10 @@ func TestHealthzDrainingFlip(t *testing.T) {
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || strings.TrimSpace(string(body)) != "draining" {
-		t.Fatalf("healthz after BeginDrain: %d %q, want 503 draining", resp.StatusCode, body)
+		t.Fatalf("healthz during drain: %d %q, want 503 draining", resp.StatusCode, body)
+	}
+	if s := j.Status().State; s != StateRunning {
+		t.Fatalf("parked job %q during drain, want running", s)
 	}
 
 	data, _ := dse.EncodeSpec(tinySpec())

@@ -47,8 +47,9 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// A draining daemon is alive but must stop receiving work: 503 with
-		// the literal body "draining" tells coordinators and load balancers
-		// to route new shards elsewhere while running jobs finish.
+		// the literal body "draining" tells load balancers to route new work
+		// elsewhere while running jobs finish. (Fleet coordinators learn of
+		// the drain from the 503 a submission gets.)
 		if s.mgr.Draining() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			io.WriteString(w, "draining\n")

@@ -444,7 +444,7 @@ func TestCacheRejectsCorruptEntries(t *testing.T) {
 	}
 }
 
-// TestDaemonRestartServesFromCache simulates the serve-smoke restart: a
+// TestDaemonRestartServesFromCache simulates a daemon restart: a
 // fresh manager over the same cache directory completes the same spec with
 // zero evaluations.
 func TestDaemonRestartServesFromCache(t *testing.T) {

@@ -374,10 +374,9 @@ type Model struct {
 	head   *snn.Linear
 
 	// forward caches
-	finalSpikes *spike.Tensor
-	rate        *tensor.Mat
-	rateND      []float32
-	trace       *Trace
+	rate   *tensor.Mat
+	rateND []float32
+	trace  *Trace
 }
 
 // NewModel builds a model with deterministic initialization from seed.
@@ -452,7 +451,6 @@ func (m *Model) ForwardSteps(xs []*tensor.Mat) *tensor.Mat {
 		)
 	}
 	m.trace = tr
-	m.finalSpikes = s
 
 	// Global average pooling over all tokens and time points (Fig. 2).
 	if cap(m.rateND) < cfg.N*cfg.D {
@@ -515,9 +513,6 @@ func (m *Model) Trace() *Trace { return m.trace }
 func (m *Model) AttentionScores(block int) [][]*tensor.Mat {
 	return m.blocks[block].sMaps
 }
-
-// FinalSpikes returns the last encoder block's output spikes.
-func (m *Model) FinalSpikes() *spike.Tensor { return m.finalSpikes }
 
 // AllSpikeTensors returns every traced binary activation tensor (projection,
 // MLP inputs, and attention Q/K) — the tensors over which the BSA loss of

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"container/list"
 	"errors"
 	"os"
 	"sync"
@@ -25,21 +24,16 @@ type traceKey struct {
 
 // traceEntry guards one cached trace: the sync.Once gives singleflight
 // semantics, so concurrent requests for the same key compute it exactly
-// once and everyone shares the result. An entry evicted mid-compute stays
-// valid for the callers already holding it; the key simply recomputes on
-// its next request.
+// once and everyone shares the result.
 type traceEntry struct {
 	once sync.Once
 	tr   *transformer.Trace
-	elem *list.Element // position in the LRU list; value is the traceKey
 }
 
 var traceCache = struct {
-	mu    sync.Mutex
-	m     map[traceKey]*traceEntry
-	lru   *list.List // front = most recently used
-	limit int        // 0 = unbounded
-}{m: map[traceKey]*traceEntry{}, lru: list.New()}
+	mu sync.Mutex
+	m  map[traceKey]*traceEntry
+}{m: map[traceKey]*traceEntry{}}
 
 var cacheHits, cacheMisses atomic.Int64
 var storeHits, storeMisses, storeErrors atomic.Int64
@@ -58,13 +52,9 @@ func CachedTrace(cfg transformer.Config, sc Scenario, opt TraceOptions, seed uin
 
 	traceCache.mu.Lock()
 	e, ok := traceCache.m[key]
-	if ok {
-		traceCache.lru.MoveToFront(e.elem)
-	} else {
+	if !ok {
 		e = &traceEntry{}
-		e.elem = traceCache.lru.PushFront(key)
 		traceCache.m[key] = e
-		evictLocked()
 	}
 	traceCache.mu.Unlock()
 
@@ -81,42 +71,12 @@ func CachedTrace(cfg transformer.Config, sc Scenario, opt TraceOptions, seed uin
 	return e.tr
 }
 
-// evictLocked drops least-recently-used entries until the cache respects
-// the limit. Caller holds traceCache.mu.
-func evictLocked() {
-	for traceCache.limit > 0 && len(traceCache.m) > traceCache.limit {
-		back := traceCache.lru.Back()
-		if back == nil {
-			return
-		}
-		traceCache.lru.Remove(back)
-		delete(traceCache.m, back.Value.(traceKey))
-	}
-}
-
-// SetTraceCacheLimit caps the in-memory cache at n entries with LRU
-// eviction, so sweeps over workload axes do not hold every generated trace
-// alive for the life of the process. n <= 0 restores the default, unbounded.
-// It returns the previous limit.
-func SetTraceCacheLimit(n int) int {
-	traceCache.mu.Lock()
-	defer traceCache.mu.Unlock()
-	prev := traceCache.limit
-	if n < 0 {
-		n = 0
-	}
-	traceCache.limit = n
-	evictLocked()
-	return prev
-}
-
 // ResetTraceCache drops every cached trace and zeroes all cache and store
 // statistics. Tests use it for isolation; long-lived drivers can call it
 // between sweep phases to release trace memory.
 func ResetTraceCache() {
 	traceCache.mu.Lock()
 	traceCache.m = map[traceKey]*traceEntry{}
-	traceCache.lru = list.New()
 	traceCache.mu.Unlock()
 	cacheHits.Store(0)
 	cacheMisses.Store(0)

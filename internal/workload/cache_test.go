@@ -103,37 +103,6 @@ func TestResetTraceCache(t *testing.T) {
 	}
 }
 
-// TestTraceCacheLRULimit pins the eviction order: with a cap of 2, touching
-// an entry protects it and the least-recently-used one is dropped.
-func TestTraceCacheLRULimit(t *testing.T) {
-	ResetTraceCache()
-	prev := SetTraceCacheLimit(2)
-	defer func() { SetTraceCacheLimit(prev); ResetTraceCache() }()
-	cfg := transformer.ModelZoo()[3]
-	sc := Scenarios()[4]
-	a := CachedTrace(cfg, sc, TraceOptions{}, 2001)
-	b := CachedTrace(cfg, sc, TraceOptions{}, 2002)
-	_ = b
-	if got := CachedTrace(cfg, sc, TraceOptions{}, 2001); got != a {
-		t.Fatal("touch within the limit must hit")
-	}
-	CachedTrace(cfg, sc, TraceOptions{}, 2003) // evicts seed 2002 (LRU)
-	if got := CachedTrace(cfg, sc, TraceOptions{}, 2001); got != a {
-		t.Fatal("recently touched entry was evicted")
-	}
-	if got := CachedTrace(cfg, sc, TraceOptions{}, 2002); got == b {
-		t.Fatal("LRU entry survived past the cap")
-	}
-	// Shrinking the limit evicts immediately, keeping the most recent
-	// entry (seed 2002) and dropping seed 2001.
-	SetTraceCacheLimit(1)
-	_, misses := TraceCacheStats()
-	CachedTrace(cfg, sc, TraceOptions{}, 2001)
-	if _, m := TraceCacheStats(); m != misses+1 {
-		t.Fatal("entry evicted by the shrink must regenerate")
-	}
-}
-
 func TestTraceDigestStable(t *testing.T) {
 	cfg := transformer.ModelZoo()[3]
 	sc := Scenarios()[4]
