@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-gate bench-baseline perfbench-check fmt fmt-check vet lint ci
+.PHONY: build test race bench bench-json bench-gate perfbench-check fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
@@ -43,47 +43,42 @@ bench-json:
 	@mv $(BENCH_OUT).tmp $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
 
-# Benchmark-regression gate (cmd/benchdiff): re-measure the hot-path
-# benchmarks — SIMD kernel dispatch, TTB tagging, spike-driven GEMM, steady-state
-# simulator, the 12-point sweep grid — with -count=$(BENCH_GATE_COUNT) and compare against the
-# committed baseline, failing on >10% ns/op growth or any allocs/op growth.
-# benchdiff takes the minimum across the repeated counts (noise floor) and
-# -normalize divides out machine-speed differences through the pure-Go
-# kernel reference, so the gate tracks code, not hosts. Refresh the
-# baseline with `make bench-baseline` whenever a change intentionally
-# shifts these numbers (or adds/renames a gated benchmark) and commit the
-# result alongside the change.
-BENCH_BASELINE ?= bench/baseline.json
-BENCH_GATE_PKGS = ./internal/spike ./internal/bundle ./internal/snn ./internal/accel ./internal/dse
-# min-of-5: the AVX-512 kernels speed up over the first few runs as the
-# core's vector-frequency license warms, so too few counts under-reports
-# the steady-state floor and flags phantom regressions.
-BENCH_GATE_COUNT ?= 5
-# Time-based samples: 100ms of iterations per measurement keeps the
-# fast (~250ns) kernels far above the timer noise floor that fixed small
-# iteration counts would sit in, while the multi-ms simulator and sweep
-# benchmarks still finish promptly.
-BENCH_GATE_SEL = -run='^$$' -bench='Kernel|Dispatched|Retag|LinearForwardSpikes|SimulatorSteadyState|SweepGrid' \
-	-benchtime=100ms -count=$(BENCH_GATE_COUNT) -benchmem
-# The reference tolerates go test's -GOMAXPROCS name suffix, so the bare
-# name works on any host.
-BENCH_NORMALIZE ?= BenchmarkKernelCount/go
-# The measurement lands in BENCH_HEAD for inspection with `benchdiff -v`.
-BENCH_HEAD ?= .bench-gate/head.json
+# Benchmark-regression gate (cmd/benchdiff): an interleaved A/B of the
+# hot-path benchmarks — SIMD kernel dispatch, TTB tagging, spike-driven GEMM,
+# steady-state simulator, the 12-point sweep grid — between the commit
+# BENCH_BASE (a git ref; CI passes HEAD^1) and the working tree. The base is
+# extracted with `git archive` into a temp directory outside the module, and
+# each gated package's test binary is built once per side. For 20 rounds,
+# package by package, both binaries take one 100ms sample of every gated
+# benchmark, each from its own package directory; the base side goes first
+# in odd rounds and the head side in even rounds, so host drift hits both
+# sides of a round alike. benchdiff then pairs the rounds: a benchmark
+# fails when at least 15 of its 20 head/base ns/op ratios exceed 1.10, or
+# when its minimum allocs/op grew by a whole allocation. The streams land
+# in .bench-gate/ for inspection. There is no committed baseline to refresh.
+# The round count must equal benchcmp.Rounds (benchdiff rejects any other).
+# 100ms samples keep the ~250ns kernels far above the timer's noise floor
+# while the multi-ms simulator and sweep benchmarks still finish promptly.
+BENCH_BASE ?= HEAD
+BENCH_GATE_PKGS = spike bundle snn accel dse
+BENCH_GATE_RUN = -test.run='^$$' -test.bench='Kernel|Dispatched|Retag|LinearForwardSpikes|SimulatorSteadyState|SweepGrid' \
+	-test.count=1 -test.benchtime=100ms -test.benchmem -test.timeout=2m
 bench-gate:
-	@mkdir -p $(dir $(BENCH_HEAD))
-	@$(GO) test -json $(BENCH_GATE_SEL) $(BENCH_GATE_PKGS) > $(BENCH_HEAD) || \
-		{ echo "bench-gate measurement failed; last events:" >&2; \
-		  tail -40 $(BENCH_HEAD) >&2; exit 1; }
-	$(GO) run ./cmd/benchdiff -threshold 0.10 -normalize '$(BENCH_NORMALIZE)' \
-		$(BENCH_BASELINE) $(BENCH_HEAD)
-
-bench-baseline:
-	@mkdir -p $(dir $(BENCH_BASELINE))
-	@$(GO) test -json $(BENCH_GATE_SEL) $(BENCH_GATE_PKGS) > $(BENCH_BASELINE).tmp || \
-		{ echo "bench-baseline measurement failed" >&2; rm -f $(BENCH_BASELINE).tmp; exit 1; }
-	@mv $(BENCH_BASELINE).tmp $(BENCH_BASELINE)
-	@echo "wrote $(BENCH_BASELINE)"
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	head=$$(pwd) && mkdir -p "$$tmp/base" .bench-gate && \
+	git archive -o "$$tmp/base.tar" $(BENCH_BASE) && tar -xf "$$tmp/base.tar" -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/bin-base/" $(addprefix ./internal/,$(BENCH_GATE_PKGS))) && \
+	$(GO) test -c -o "$$tmp/bin-head/" $(addprefix ./internal/,$(BENCH_GATE_PKGS)) && \
+	: > .bench-gate/base.txt && : > .bench-gate/head.txt && \
+	for r in $$(seq 20); do \
+		if [ $$((r % 2)) = 1 ]; then order="base head"; else order="head base"; fi; \
+		for p in $(BENCH_GATE_PKGS); do for side in $$order; do \
+			if [ $$side = base ]; then root="$$tmp/base"; else root="$$head"; fi; \
+			(cd "$$root/internal/$$p" && "$$tmp/bin-$$side/$$p.test" $(BENCH_GATE_RUN)) \
+				>> .bench-gate/$$side.txt || { echo "bench-gate: $$side $$p failed in round $$r" >&2; exit 1; }; \
+		done; done; \
+	done
+	$(GO) run ./cmd/benchdiff .bench-gate/base.txt .bench-gate/head.txt
 
 # The frozen end-to-end benchmark (perfbench/) is its own Go module, so
 # `go test ./...` stops at its boundary: a change to a signature it calls or
@@ -122,4 +117,4 @@ vet:
 lint:
 	$(GO) run ./cmd/bishoplint ./...
 
-ci: build fmt-check vet race bench-gate bench-json lint perfbench-check
+ci: build fmt-check vet race bench-json bench-gate lint perfbench-check

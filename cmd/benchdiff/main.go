@@ -1,28 +1,23 @@
-// Command benchdiff compares two benchmark runs and exits nonzero on
-// regression — the CI gate behind `make bench-gate`.
+// Command benchdiff compares two interleaved benchmark runs and exits
+// nonzero on regression — the CI gate behind `make bench-gate`.
 //
 // Usage:
 //
 //	benchdiff [flags] BASE HEAD
 //
-// BASE and HEAD are benchmark streams: either the test2json event files
-// `make bench-json` writes or plain `go test -bench` text. Repeated
-// measurements of one benchmark (-count=N) are denoised by taking the
-// minimum before comparison.
+// BASE and HEAD are plain `go test -bench` streams holding benchcmp.Rounds
+// samples of every benchmark, sample i of both measured in the same round
+// of an alternating run. A benchmark regresses when at least
+// benchcmp.Critical of its round ratios (head ns/op ÷ base ns/op) exceed
+// 1+benchcmp.Threshold, or when its minimum allocs/op over the rounds grew
+// by at least one whole allocation. Every compared benchmark is listed with
+// its count of rounds above the threshold.
 //
 // Flags:
 //
-//	-threshold F        tolerated fractional ns/op growth (default 0.10)
-//	-alloc-threshold F  tolerated fractional allocs/op growth (default 0;
-//	                    growth below one whole alloc/op never trips)
-//	-normalize NAME     calibrate machine speed: divide every ns/op ratio
-//	                    by NAME's ratio (a stable pure-Go benchmark
-//	                    present in both streams)
 //	-allow-missing      benchmarks present in BASE but absent from HEAD
 //	                    only warn instead of failing (lost gate coverage
-//	                    is otherwise an error so renames force a baseline
-//	                    refresh in the same change)
-//	-v                  list every compared benchmark, not just regressions
+//	                    is otherwise an error)
 //
 // Exit status: 0 clean, 1 regression (or lost coverage), 2 usage or parse
 // error.
@@ -55,11 +50,7 @@ func main() {
 // stdout. regressed is true when HEAD regressed or lost gate coverage.
 func run(args []string, stdout io.Writer) (regressed bool, err error) {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	threshold := fs.Float64("threshold", 0.10, "tolerated fractional ns/op growth")
-	allocThreshold := fs.Float64("alloc-threshold", 0, "tolerated fractional allocs/op growth")
-	normalize := fs.String("normalize", "", "benchmark name used to calibrate machine speed")
 	allowMissing := fs.Bool("allow-missing", false, "missing benchmarks warn instead of failing")
-	verbose := fs.Bool("v", false, "list every compared benchmark")
 	if err := fs.Parse(args); err != nil {
 		return false, err
 	}
@@ -75,25 +66,19 @@ func run(args []string, stdout io.Writer) (regressed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	rep, err := benchcmp.Compare(base, head, benchcmp.Thresholds{
-		NsFrac:    *threshold,
-		AllocFrac: *allocThreshold,
-	}, *normalize)
+	rep, err := benchcmp.Compare(base, head)
 	if err != nil {
 		return false, err
 	}
 
-	if rep.NormalizeRef != "" {
-		fmt.Fprintf(stdout, "benchdiff: normalized by %s (scale %.3f)\n", rep.NormalizeRef, rep.Scale)
-	}
-	if *verbose {
-		for _, d := range rep.Deltas {
-			fmt.Fprintf(stdout, "  %-60s %10.0f -> %10.0f ns/op (%+.1f%%)\n",
-				d.Key, d.Base.NsPerOp, d.Head.NsPerOp*rep.Scale, (d.NsRatio-1)*100)
-		}
+	fmt.Fprintf(stdout, "benchdiff: %d paired rounds; regression = at least %d round ratios above %.2f, or +1 allocs/op\n",
+		benchcmp.Rounds, benchcmp.Critical, 1+benchcmp.Threshold)
+	for _, d := range rep.Deltas {
+		fmt.Fprintf(stdout, "  %-64s median %.3f  %2d/%d rounds > %.2f\n",
+			d.Key, d.Median, d.Above, benchcmp.Rounds, 1+benchcmp.Threshold)
 	}
 	for _, k := range rep.NewKeys {
-		fmt.Fprintf(stdout, "benchdiff: new (not in baseline): %s\n", k)
+		fmt.Fprintf(stdout, "benchdiff: new (not in base): %s\n", k)
 	}
 
 	for _, k := range rep.MissingKeys {

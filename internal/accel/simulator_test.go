@@ -91,8 +91,9 @@ func TestSimulatorReportReuse(t *testing.T) {
 	}
 }
 
-// BenchmarkSimulatorSteadyState is the benchdiff anchor for the zero-alloc
-// walk: the full Bishop layer loop on a Model 4 trace with reused scratch.
+// BenchmarkSimulatorSteadyState gates the zero-alloc walk in `make
+// bench-gate`: the full Bishop layer loop on a Model 4 trace with reused
+// scratch.
 func BenchmarkSimulatorSteadyState(b *testing.B) {
 	tr := trace(4, false, 7)
 	sim := NewSimulator(DefaultOptions())

@@ -1,81 +1,87 @@
-// Package benchcmp parses Go benchmark output and compares two runs
-// against regression thresholds — the library behind cmd/benchdiff, the
-// CI gate that keeps the SIMD/zero-alloc hot path from quietly rotting.
+// Package benchcmp compares two interleaved benchmark runs — the library
+// behind cmd/benchdiff, the CI gate that keeps the SIMD/zero-alloc hot path
+// from quietly rotting.
 //
-// It reads either the test2json event stream `make bench-json` writes or
-// plain `go test -bench` text. Repeated measurements of one benchmark
-// (from -count=N) are denoised by taking the minimum: the minimum of N
-// runs is the run least disturbed by scheduler and cache noise, which is
-// the standard estimator for "how fast can this code go".
+// `make bench-gate` builds the test binaries of a base commit and of the
+// working tree and runs them in alternation, package by package, one sample
+// of every benchmark per side per round. Round i of the base and round i of
+// the head are therefore measured back to back on the same host, under the
+// same drift. Compare pairs the i-th samples and runs a sign test on the
+// round ratios (head ns/op ÷ base ns/op): a benchmark regresses when at
+// least Critical of its Rounds ratios exceed 1+Threshold. If the true
+// slowdown were exactly Threshold, each round would exceed it with
+// probability 1/2, so the rule's false-alarm rate at the threshold is
+// P(Binomial(20, 1/2) ≥ 15) ≈ 0.021, with no randomness in the decision.
 package benchcmp
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Result is the denoised measurement of one benchmark in one stream.
+const (
+	// Rounds is the number of paired samples each benchmark must have on
+	// both sides.
+	Rounds = 20
+	// Threshold is the tolerated fractional ns/op growth of one round.
+	Threshold = 0.10
+	// Critical is the number of rounds above 1+Threshold that makes a
+	// regression.
+	Critical = 15
+)
+
+// Sample is one measurement of a benchmark.
+type Sample struct {
+	NsPerOp     float64
+	AllocsPerOp float64
+}
+
+// Result is every measurement of one benchmark in one stream.
 type Result struct {
-	Pkg  string // import path ("" when the text format carried no pkg line)
+	Pkg  string // import path ("" when the stream carried no pkg line)
 	Name string // full name including sub-benchmark path and -P suffix
 
-	NsPerOp     float64
-	BytesPerOp  float64
-	AllocsPerOp float64
-	Samples     int // measurements folded into the minima
+	Samples []Sample // in stream order: sample i is round i
 }
 
 // Key identifies the benchmark across streams.
 func (r Result) Key() string { return r.Pkg + " " + r.Name }
 
-// event is the subset of the test2json stream benchcmp reads. The stream
-// deliberately carries more (Time, Test, Elapsed); unknown fields are
-// irrelevant here, not schema drift.
-type event struct {
-	Action  string `json:"Action"`
-	Package string `json:"Package"`
-	Output  string `json:"Output"`
+// minAllocs is the fewest allocs/op over the samples: allocation counts of
+// large benchmarks jitter by one between runs of identical code (amortized
+// growth in a pool or map), and the minimum is the count the code needs.
+func (r Result) minAllocs() float64 {
+	m := r.Samples[0].AllocsPerOp
+	for _, s := range r.Samples[1:] {
+		m = min(m, s.AllocsPerOp)
+	}
+	return m
 }
 
-// parser folds benchmark output lines into results. go test writes a
-// benchmark's name when it starts and its measurements when it finishes —
-// two separate writes, which test2json surfaces as two separate Output
-// events — so the parser carries the pending name (per package) until the
-// measurement line arrives. A single-write line carrying both still parses
-// directly.
+// parser collects benchmark result lines. go test writes a benchmark's name
+// when it starts and its measurements when it finishes — two separate
+// writes, which other output (a log line) can split — so the parser carries
+// the pending name until the measurement line arrives. A single-write line
+// carrying both parses directly.
 type parser struct {
 	results map[string]Result
-	pending map[string]string // package -> benchmark name awaiting numbers
+	pending string // benchmark name awaiting numbers
 }
 
-// Parse reads one benchmark stream — test2json events or plain text — and
-// returns the denoised results keyed by Result.Key.
+// Parse reads one plain-text `go test -bench` stream (or several
+// concatenated) and returns every benchmark's samples keyed by Result.Key.
 func Parse(r io.Reader) (map[string]Result, error) {
-	p := parser{results: make(map[string]Result), pending: make(map[string]string)}
+	p := parser{results: make(map[string]Result)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	pkg := "" // current package in the plain-text format
+	pkg := "" // current package, from the stream's `pkg:` header
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "{") {
-			var ev event
-			if err := json.Unmarshal([]byte(line), &ev); err != nil {
-				return nil, fmt.Errorf("benchcmp: bad test2json line: %w", err)
-			}
-			if ev.Action != "output" {
-				continue
-			}
-			p.addLine(ev.Package, strings.TrimSpace(ev.Output))
-			continue
-		}
 		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
 			pkg = strings.TrimSpace(rest)
 			continue
@@ -88,7 +94,7 @@ func Parse(r io.Reader) (map[string]Result, error) {
 	return p.results, nil
 }
 
-// addLine folds one output line into the results.
+// addLine records one output line's sample, if it carries one.
 func (p *parser) addLine(pkg, line string) {
 	f := strings.Fields(line)
 	if len(f) == 0 {
@@ -96,21 +102,21 @@ func (p *parser) addLine(pkg, line string) {
 	}
 	if strings.HasPrefix(f[0], "Benchmark") && len(f[0]) > len("Benchmark") {
 		if len(f) == 1 {
-			p.pending[pkg] = f[0] // name flushed alone; numbers follow
+			p.pending = f[0] // name flushed alone; numbers follow
 			return
 		}
-	} else if name := p.pending[pkg]; name != "" && strings.Contains(line, "ns/op") {
-		f = append([]string{name}, f...) // continuation of a split line
+	} else if p.pending != "" && strings.Contains(line, "ns/op") {
+		f = append([]string{p.pending}, f...) // continuation of a split line
 	} else {
 		return
 	}
 	if !strings.Contains(line, "ns/op") || len(f) < 4 {
 		return
 	}
-	r := Result{Pkg: pkg, Name: f[0], Samples: 1}
 	if _, err := strconv.Atoi(f[1]); err != nil {
 		return // not an iteration count — a stray line mentioning ns/op
 	}
+	var s Sample
 	ok := false
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
@@ -119,44 +125,28 @@ func (p *parser) addLine(pkg, line string) {
 		}
 		switch f[i+1] {
 		case "ns/op":
-			r.NsPerOp, ok = v, true
-		case "B/op":
-			r.BytesPerOp = v
+			s.NsPerOp, ok = v, true
 		case "allocs/op":
-			r.AllocsPerOp = v
+			s.AllocsPerOp = v
 		}
 	}
 	if !ok {
 		return
 	}
-	delete(p.pending, pkg)
-	if prev, seen := p.results[r.Key()]; seen {
-		r.NsPerOp = min(r.NsPerOp, prev.NsPerOp)
-		r.BytesPerOp = min(r.BytesPerOp, prev.BytesPerOp)
-		r.AllocsPerOp = min(r.AllocsPerOp, prev.AllocsPerOp)
-		r.Samples = prev.Samples + 1
-	}
+	p.pending = ""
+	r := Result{Pkg: pkg, Name: f[0]}
+	r.Samples = append(p.results[r.Key()].Samples, s)
 	p.results[r.Key()] = r
 }
 
-// Thresholds parameterize what counts as a regression.
-type Thresholds struct {
-	// NsFrac is the tolerated fractional ns/op growth: 0.10 flags a
-	// benchmark whose (normalized) time grew by more than 10%.
-	NsFrac float64
-	// AllocFrac is the tolerated fractional allocs/op growth. Growth is
-	// only a regression when it also amounts to at least one whole
-	// allocation per op, so 0 pins zero-alloc paths exactly while float
-	// rounding on large counts cannot trip the gate.
-	AllocFrac float64
-}
-
-// Delta is the comparison of one benchmark present in both streams.
+// Delta is the paired comparison of one benchmark present in both streams.
 type Delta struct {
-	Key        string
-	Base, Head Result
-	// NsRatio is head/base ns/op after calibration (see Report.Scale).
-	NsRatio    float64
+	Key string
+	// Above counts the rounds whose head/base ns/op ratio exceeds
+	// 1+Threshold.
+	Above int
+	// Median is the median round ratio, for the report.
+	Median     float64
 	Regression bool
 	Reason     string // why it regressed ("" when it did not)
 }
@@ -165,16 +155,10 @@ type Delta struct {
 type Report struct {
 	Deltas      []Delta  // sorted by Key
 	MissingKeys []string // in base but not head: lost gate coverage
-	NewKeys     []string // in head but not base: not yet in the baseline
-
-	// Scale is the machine-speed calibration factor applied to head
-	// ns/op before comparison: baseRef/headRef when a normalization
-	// reference was given, 1 otherwise.
-	Scale        float64
-	NormalizeRef string
+	NewKeys     []string // in head but not base: nothing to pair with
 }
 
-// Regressions returns the deltas that crossed a threshold.
+// Regressions returns the deltas that failed the rule.
 func (rep Report) Regressions() []Delta {
 	var out []Delta
 	for _, d := range rep.Deltas {
@@ -185,54 +169,43 @@ func (rep Report) Regressions() []Delta {
 	return out
 }
 
-// Compare evaluates head against base. normalizeRef, when non-empty, names
-// a benchmark (matched by Name, ignoring package) present in both streams
-// whose ns/op ratio is divided out of every comparison — calibrating away
-// machine-speed differences between the committed baseline's host and the
-// machine running the gate. The reference should be a stable pure-Go
-// benchmark so the calibration itself cannot hide a dispatched-kernel
-// regression.
-func Compare(base, head map[string]Result, th Thresholds, normalizeRef string) (Report, error) {
-	rep := Report{Scale: 1, NormalizeRef: normalizeRef}
-	if normalizeRef != "" {
-		b, err := findByName(base, normalizeRef, "base")
-		if err != nil {
-			return rep, err
-		}
-		h, err := findByName(head, normalizeRef, "head")
-		if err != nil {
-			return rep, err
-		}
-		if b.NsPerOp <= 0 || h.NsPerOp <= 0 {
-			return rep, fmt.Errorf("benchcmp: reference %q has non-positive ns/op", normalizeRef)
-		}
-		rep.Scale = b.NsPerOp / h.NsPerOp
-	}
-
-	keys := make([]string, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+// Compare pairs head against base round by round. It errors when a
+// benchmark present on both sides does not have Rounds samples on each: the
+// sign test's error rate holds only for the paired design it was sized for.
+func Compare(base, head map[string]Result) (Report, error) {
+	var rep Report
+	for _, k := range slices.Sorted(maps.Keys(base)) {
 		b := base[k]
 		h, ok := head[k]
 		if !ok {
 			rep.MissingKeys = append(rep.MissingKeys, k)
 			continue
 		}
-		d := Delta{Key: k, Base: b, Head: h, NsRatio: h.NsPerOp * rep.Scale / b.NsPerOp}
-		if d.NsRatio > 1+th.NsFrac {
-			d.Regression = true
-			d.Reason = fmt.Sprintf("ns/op %.0f -> %.0f (%+.1f%%, threshold %+.1f%%)",
-				b.NsPerOp, h.NsPerOp*rep.Scale, (d.NsRatio-1)*100, th.NsFrac*100)
+		if len(b.Samples) != Rounds || len(h.Samples) != Rounds {
+			return Report{}, fmt.Errorf("benchcmp: %s: %d base and %d head samples, want %d paired rounds",
+				k, len(b.Samples), len(h.Samples), Rounds)
 		}
-		if h.AllocsPerOp > b.AllocsPerOp*(1+th.AllocFrac) && h.AllocsPerOp-b.AllocsPerOp >= 1 {
+		d := Delta{Key: k}
+		ratios := make([]float64, Rounds)
+		for i := range ratios {
+			ratios[i] = h.Samples[i].NsPerOp / b.Samples[i].NsPerOp
+			if ratios[i] > 1+Threshold {
+				d.Above++
+			}
+		}
+		slices.Sort(ratios)
+		d.Median = (ratios[Rounds/2-1] + ratios[Rounds/2]) / 2
+		if d.Above >= Critical {
+			d.Regression = true
+			d.Reason = fmt.Sprintf("ns/op: %d of %d rounds above %+.0f%% (median %+.1f%%)",
+				d.Above, Rounds, Threshold*100, (d.Median-1)*100)
+		}
+		if ba, ha := b.minAllocs(), h.minAllocs(); ha-ba >= 1 {
 			d.Regression = true
 			if d.Reason != "" {
 				d.Reason += "; "
 			}
-			d.Reason += fmt.Sprintf("allocs/op %.0f -> %.0f", b.AllocsPerOp, h.AllocsPerOp)
+			d.Reason += fmt.Sprintf("allocs/op (minimum over rounds) %.0f -> %.0f", ba, ha)
 		}
 		rep.Deltas = append(rep.Deltas, d)
 	}
@@ -241,37 +214,6 @@ func Compare(base, head map[string]Result, th Thresholds, normalizeRef string) (
 			rep.NewKeys = append(rep.NewKeys, k)
 		}
 	}
-	sort.Strings(rep.NewKeys)
+	slices.Sort(rep.NewKeys)
 	return rep, nil
-}
-
-// findByName resolves a benchmark by bare Name across packages, erroring
-// when absent or ambiguous. The -GOMAXPROCS suffix go test appends (absent
-// when GOMAXPROCS=1) is tolerated, so one reference name works across
-// machine classes.
-func findByName(m map[string]Result, name, stream string) (Result, error) {
-	var found []Result
-	for _, r := range m {
-		if r.Name == name || procSuffixed(r.Name, name) {
-			found = append(found, r)
-		}
-	}
-	switch len(found) {
-	case 0:
-		return Result{}, fmt.Errorf("benchcmp: reference benchmark %q not in %s stream", name, stream)
-	case 1:
-		return found[0], nil
-	default:
-		return Result{}, fmt.Errorf("benchcmp: reference benchmark %q ambiguous in %s stream (%d packages)", name, stream, len(found))
-	}
-}
-
-// procSuffixed reports whether got is want plus a "-N" GOMAXPROCS suffix.
-func procSuffixed(got, want string) bool {
-	rest, ok := strings.CutPrefix(got, want+"-")
-	if !ok {
-		return false
-	}
-	_, err := strconv.Atoi(rest)
-	return err == nil
 }

@@ -5,47 +5,20 @@ import (
 	"testing"
 )
 
-const test2jsonStream = `{"Action":"start","Package":"repro/internal/spike"}
-{"Action":"output","Package":"repro/internal/spike","Output":"goos: linux\n"}
-{"Action":"output","Package":"repro/internal/spike","Output":"BenchmarkKernelCount/go-8         \t  500000\t      3000 ns/op\n"}
-{"Action":"output","Package":"repro/internal/spike","Output":"BenchmarkKernelCount/go-8         \t  500000\t      2800 ns/op\n"}
-{"Action":"output","Package":"repro/internal/spike","Output":"BenchmarkKernelCount/avx2-8       \t 2000000\t       650 ns/op\n"}
-{"Action":"output","Package":"repro/internal/spike","Output":"some log line mentioning 12 ns/op without being a benchmark\n"}
-{"Action":"output","Package":"repro/internal/accel","Output":"BenchmarkSimulatorSteadyState-8   \t     250\t   4700000 ns/op\t       0 B/op\t       0 allocs/op\n"}
-{"Action":"pass","Package":"repro/internal/accel"}
-`
-
-func TestParseTest2JSON(t *testing.T) {
-	m, err := Parse(strings.NewReader(test2jsonStream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 3 {
-		t.Fatalf("parsed %d results, want 3: %v", len(m), m)
-	}
-	goK := m["repro/internal/spike BenchmarkKernelCount/go-8"]
-	if goK.NsPerOp != 2800 || goK.Samples != 2 {
-		t.Fatalf("min-across-count denoising: got %+v", goK)
-	}
-	sim := m["repro/internal/accel BenchmarkSimulatorSteadyState-8"]
-	if sim.NsPerOp != 4700000 || sim.AllocsPerOp != 0 || sim.BytesPerOp != 0 {
-		t.Fatalf("full metric line: got %+v", sim)
-	}
-}
-
-// TestParseSplitOutputEvents pins the real shape of the test2json stream:
-// go test writes a benchmark's padded name when it starts and its
-// measurements when it finishes — two separate writes that test2json
-// surfaces as two separate Output events. Parse must stitch them back
-// together, ignore interleaved noise, and not let a stray "ns/op" line
-// steal a pending name.
+// TestParseSplitOutputEvents pins the stitching of split result lines: go
+// test writes a benchmark's padded name when it starts and its measurements
+// when it finishes, and output in between (a log line) splits the two.
+// Parse must stitch them back together, ignore interleaved noise, and not
+// let a stray "ns/op" line steal a pending name.
 func TestParseSplitOutputEvents(t *testing.T) {
-	const stream = `{"Action":"output","Package":"repro/internal/spike","Output":"BenchmarkKernelCount/avx2         \t"}
-{"Action":"output","Package":"repro/internal/spike","Output":" 4822818\t       241.0 ns/op\n"}
-{"Action":"output","Package":"repro/internal/spike","Output":"BenchmarkKernelOrCount/go         \t"}
-{"Action":"output","Package":"repro/internal/spike","Output":"benchmark log: warmup at 12 ns/op\n"}
-{"Action":"output","Package":"repro/internal/spike","Output":"  393400\t      3055 ns/op\t       0 B/op\t       0 allocs/op\n"}
-{"Action":"output","Package":"repro/internal/accel","Output":"BenchmarkSimulatorSteadyState-8   \t     250\t   4700000 ns/op\n"}
+	const stream = `pkg: repro/internal/spike
+BenchmarkKernelCount/avx2
+ 4822818	       241.0 ns/op
+BenchmarkKernelOrCount/go
+benchmark log: warmup at 12 ns/op
+  393400	      3055 ns/op	       0 B/op	       0 allocs/op
+pkg: repro/internal/accel
+BenchmarkSimulatorSteadyState-8   	     250	   4700000 ns/op
 `
 	m, err := Parse(strings.NewReader(stream))
 	if err != nil {
@@ -54,40 +27,59 @@ func TestParseSplitOutputEvents(t *testing.T) {
 	if len(m) != 3 {
 		t.Fatalf("parsed %d results, want 3: %v", len(m), m)
 	}
-	if r := m["repro/internal/spike BenchmarkKernelCount/avx2"]; r.NsPerOp != 241 {
+	if r := m["repro/internal/spike BenchmarkKernelCount/avx2"]; len(r.Samples) != 1 || r.Samples[0].NsPerOp != 241 {
 		t.Fatalf("split name+metrics not stitched: %+v", r)
 	}
 	or := m["repro/internal/spike BenchmarkKernelOrCount/go"]
-	if or.NsPerOp != 3055 || or.AllocsPerOp != 0 {
+	if len(or.Samples) != 1 || or.Samples[0] != (Sample{NsPerOp: 3055}) {
 		t.Fatalf("pending name stolen by log line: %+v", or)
 	}
-	if r := m["repro/internal/accel BenchmarkSimulatorSteadyState-8"]; r.NsPerOp != 4700000 {
+	if r := m["repro/internal/accel BenchmarkSimulatorSteadyState-8"]; len(r.Samples) != 1 || r.Samples[0].NsPerOp != 4700000 {
 		t.Fatalf("unsplit line must still parse: %+v", r)
 	}
 }
 
+// TestParsePlainText pins that repeated measurements of one benchmark stay
+// separate samples in stream order (sample i is round i), across the
+// per-package streams the gate concatenates, and that one name in two
+// packages is two benchmarks.
 func TestParsePlainText(t *testing.T) {
 	text := `goos: linux
 goarch: amd64
 pkg: repro/internal/spike
 cpu: whatever
 BenchmarkKernelCount/go-8      500000   3000 ns/op
+some log line mentioning 12 ns/op without being a benchmark
+PASS
+goos: linux
+pkg: repro/internal/accel
+BenchmarkKernelCount/go-8   	     250	   4700000 ns/op	       0 B/op	       2 allocs/op
+PASS
+pkg: repro/internal/spike
 BenchmarkKernelCount/go-8      500000   2900 ns/op
 PASS
-ok   repro/internal/spike  1.2s
 `
 	m, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r, ok := m["repro/internal/spike BenchmarkKernelCount/go-8"]
-	if !ok || r.NsPerOp != 2900 || r.Samples != 2 {
+	if !ok || len(r.Samples) != 2 || r.Samples[0].NsPerOp != 3000 || r.Samples[1].NsPerOp != 2900 {
 		t.Fatalf("plain-text parse: got %+v (ok=%v)", r, ok)
+	}
+	a := m["repro/internal/accel BenchmarkKernelCount/go-8"]
+	if len(a.Samples) != 1 || a.Samples[0] != (Sample{NsPerOp: 4700000, AllocsPerOp: 2}) {
+		t.Fatalf("full metric line in a second package: got %+v", a)
 	}
 }
 
-func mk(pkg, name string, ns, allocs float64) Result {
-	return Result{Pkg: pkg, Name: name, NsPerOp: ns, AllocsPerOp: allocs, Samples: 1}
+// bench returns a Result of n samples, sample i given by f(i).
+func bench(name string, n int, f func(i int) Sample) Result {
+	r := Result{Pkg: "p", Name: name}
+	for i := range n {
+		r.Samples = append(r.Samples, f(i))
+	}
+	return r
 }
 
 func asMap(rs ...Result) map[string]Result {
@@ -98,38 +90,142 @@ func asMap(rs ...Result) map[string]Result {
 	return m
 }
 
+// noisy is a base stream with ±8% round-to-round jitter.
+func noisy(i int) Sample { return Sample{NsPerOp: 1000 * (0.92 + 0.04*float64(i%5))} }
+
+// slowIn is noisy made 20% slower in the first k rounds.
+func slowIn(k int) func(int) Sample {
+	return func(i int) Sample {
+		s := noisy(i)
+		if i < k {
+			s.NsPerOp *= 1.2
+		}
+		return s
+	}
+}
+
+// allocs returns noisy with allocs/op given by a(i).
+func allocs(a func(i int) float64) func(int) Sample {
+	return func(i int) Sample { s := noisy(i); s.AllocsPerOp = a(i); return s }
+}
+
+// jitter283 alternates 283 and 284 allocs/op, as BenchmarkSweepGrid does on
+// identical code; its phase shifts the alternation between the two sides.
+func jitter283(phase int) func(int) float64 {
+	return func(i int) float64 { return 283 + float64((i+phase)%2) }
+}
+
+// TestCompareFlagsRegressions is the table of the paired sign-test rule.
 func TestCompareFlagsRegressions(t *testing.T) {
-	base := asMap(
-		mk("p", "BenchmarkFast-8", 1000, 0),
-		mk("p", "BenchmarkSlow-8", 1000, 0),
-		mk("p", "BenchmarkAlloc-8", 1000, 0),
-		mk("p", "BenchmarkGone-8", 1000, 0),
-	)
-	head := asMap(
-		mk("p", "BenchmarkFast-8", 1050, 0),  // +5%: within threshold
-		mk("p", "BenchmarkSlow-8", 1200, 0),  // +20%: regression
-		mk("p", "BenchmarkAlloc-8", 1000, 2), // 0 -> 2 allocs: regression
-		mk("p", "BenchmarkNew-8", 500, 0),
-	)
-	rep, err := Compare(base, head, Thresholds{NsFrac: 0.10}, "")
+	for _, c := range []struct {
+		name       string
+		base, head []Result
+		regression bool   // the one compared benchmark regressed
+		errSub     string // Compare must fail, naming this
+		missing    []string
+		added      []string
+	}{
+		{name: "identical streams pass",
+			base: []Result{bench("BenchmarkA", Rounds, noisy)},
+			head: []Result{bench("BenchmarkA", Rounds, noisy)}},
+		{name: "15 of 20 rounds above 1.10 fail",
+			base:       []Result{bench("BenchmarkA", Rounds, noisy)},
+			head:       []Result{bench("BenchmarkA", Rounds, slowIn(Critical))},
+			regression: true},
+		{name: "14 of 20 rounds above 1.10 pass",
+			base: []Result{bench("BenchmarkA", Rounds, noisy)},
+			head: []Result{bench("BenchmarkA", Rounds, slowIn(Critical-1))}},
+		{name: "unequal round counts error, naming the benchmark",
+			base:   []Result{bench("BenchmarkA", Rounds, noisy)},
+			head:   []Result{bench("BenchmarkA", Rounds-1, noisy)},
+			errSub: "p BenchmarkA"},
+		{name: "allocs jittering 283/284 across rounds pass",
+			base: []Result{bench("BenchmarkA", Rounds, allocs(jitter283(0)))},
+			head: []Result{bench("BenchmarkA", Rounds, allocs(jitter283(1)))}},
+		{name: "+1 alloc in every head round fails",
+			base:       []Result{bench("BenchmarkA", Rounds, allocs(jitter283(0)))},
+			head:       []Result{bench("BenchmarkA", Rounds, allocs(func(int) float64 { return 284 }))},
+			regression: true},
+		{name: "a head-only benchmark is new",
+			base:  []Result{bench("BenchmarkA", Rounds, noisy)},
+			head:  []Result{bench("BenchmarkA", Rounds, noisy), bench("BenchmarkNew", 3, noisy)},
+			added: []string{"p BenchmarkNew"}},
+		{name: "a base-only benchmark is missing",
+			base:    []Result{bench("BenchmarkA", Rounds, noisy), bench("BenchmarkGone", Rounds, noisy)},
+			head:    []Result{bench("BenchmarkA", Rounds, noisy)},
+			missing: []string{"p BenchmarkGone"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rep, err := Compare(asMap(c.base...), asMap(c.head...))
+			if c.errSub != "" {
+				if err == nil || !strings.Contains(err.Error(), c.errSub) {
+					t.Fatalf("err = %v, want one naming %q", err, c.errSub)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Deltas) != 1 || rep.Deltas[0].Regression != c.regression {
+				t.Fatalf("deltas %+v, want one with Regression=%v", rep.Deltas, c.regression)
+			}
+			if !equal(rep.MissingKeys, c.missing) || !equal(rep.NewKeys, c.added) {
+				t.Fatalf("missing %v new %v, want %v and %v", rep.MissingKeys, rep.NewKeys, c.missing, c.added)
+			}
+		})
+	}
+}
+
+func equal(a, b []string) bool { return strings.Join(a, "\n") == strings.Join(b, "\n") }
+
+// TestCompareReportsRoundCounts pins the numbers a failure reports: the
+// count of rounds above the threshold, the median ratio, and both minima of
+// an alloc regression.
+func TestCompareReportsRoundCounts(t *testing.T) {
+	base := asMap(bench("BenchmarkA", Rounds, allocs(func(int) float64 { return 0 })))
+	head := asMap(bench("BenchmarkA", Rounds, allocs(func(int) float64 { return 2 })))
+	head["p BenchmarkA"].Samples[0].NsPerOp *= 1.5
+	rep, err := Compare(base, head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := rep.Deltas[0]
+	if d.Above != 1 || d.Median != 1 || d.Reason != "allocs/op (minimum over rounds) 0 -> 2" {
+		t.Fatalf("got %+v", d)
+	}
+	rep, err = Compare(base, asMap(bench("BenchmarkA", Rounds, slowIn(Rounds))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rep.Deltas[0]; d.Reason != "ns/op: 20 of 20 rounds above +10% (median +20.0%)" {
+		t.Fatalf("got %+v", d)
+	}
+}
+
+// TestCompareCancelsHostDrift pins what replaced host-speed calibration: drift
+// that slows a whole round on both sides alike cancels in the pair, so a
+// host running twice as slow for half the gate raises no alarm, and a
+// benchmark 30% slower on top of that drift still fails.
+func TestCompareCancelsHostDrift(t *testing.T) {
+	drift := func(f func(int) Sample) func(int) Sample {
+		return func(i int) Sample {
+			s := f(i)
+			if i >= Rounds/2 {
+				s.NsPerOp *= 2
+			}
+			return s
+		}
+	}
+	slower := func(i int) Sample { s := noisy(i); s.NsPerOp *= 1.3; return s }
+	base := asMap(bench("BenchmarkSame", Rounds, drift(noisy)), bench("BenchmarkWorse", Rounds, drift(noisy)))
+	head := asMap(bench("BenchmarkSame", Rounds, drift(noisy)), bench("BenchmarkWorse", Rounds, drift(slower)))
+	rep, err := Compare(base, head)
 	if err != nil {
 		t.Fatal(err)
 	}
 	regs := rep.Regressions()
-	if len(regs) != 2 {
-		t.Fatalf("got %d regressions, want 2: %+v", len(regs), regs)
-	}
-	if regs[0].Key != "p BenchmarkAlloc-8" || !strings.Contains(regs[0].Reason, "allocs/op 0 -> 2") {
-		t.Fatalf("alloc regression: %+v", regs[0])
-	}
-	if regs[1].Key != "p BenchmarkSlow-8" || !strings.Contains(regs[1].Reason, "ns/op") {
-		t.Fatalf("ns regression: %+v", regs[1])
-	}
-	if len(rep.MissingKeys) != 1 || rep.MissingKeys[0] != "p BenchmarkGone-8" {
-		t.Fatalf("missing: %v", rep.MissingKeys)
-	}
-	if len(rep.NewKeys) != 1 || rep.NewKeys[0] != "p BenchmarkNew-8" {
-		t.Fatalf("new: %v", rep.NewKeys)
+	if len(regs) != 1 || regs[0].Key != "p BenchmarkWorse" || regs[0].Above != Rounds {
+		t.Fatalf("paired regressions under drift: %+v", regs)
 	}
 }
 
@@ -137,68 +233,13 @@ func TestCompareFlagsRegressions(t *testing.T) {
 // counts rounding differently across runs) never trips the gate: growth
 // must amount to at least one whole allocation per op.
 func TestCompareSubAllocRounding(t *testing.T) {
-	base := asMap(mk("p", "B-8", 1000, 100))
-	head := asMap(mk("p", "B-8", 1000, 100.6))
-	rep, err := Compare(base, head, Thresholds{}, "")
+	base := asMap(bench("B-8", Rounds, allocs(func(int) float64 { return 100 })))
+	head := asMap(bench("B-8", Rounds, allocs(func(int) float64 { return 100.6 })))
+	rep, err := Compare(base, head)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Regressions()) != 0 {
 		t.Fatalf("sub-alloc rounding flagged: %+v", rep.Regressions())
-	}
-}
-
-// TestCompareNormalize pins the machine-speed calibration: a head machine
-// uniformly 2x slower than the baseline's host shows no regressions once
-// the reference benchmark's ratio is divided out — and a kernel that
-// regressed on top of the machine difference still fails.
-func TestCompareNormalize(t *testing.T) {
-	base := asMap(
-		mk("p", "BenchmarkRef-8", 1000, 0),
-		mk("p", "BenchmarkSame-8", 5000, 0),
-		mk("p", "BenchmarkWorse-8", 5000, 0),
-	)
-	head := asMap(
-		mk("p", "BenchmarkRef-8", 2000, 0),    // machine is 2x slower
-		mk("p", "BenchmarkSame-8", 10000, 0),  // scaled exactly with the machine
-		mk("p", "BenchmarkWorse-8", 14000, 0), // 1.4x beyond the machine factor
-	)
-	rep, err := Compare(base, head, Thresholds{NsFrac: 0.10}, "BenchmarkRef-8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Scale != 0.5 {
-		t.Fatalf("scale = %v, want 0.5", rep.Scale)
-	}
-	regs := rep.Regressions()
-	if len(regs) != 1 || regs[0].Key != "p BenchmarkWorse-8" {
-		t.Fatalf("normalized regressions: %+v", regs)
-	}
-
-	if _, err := Compare(base, head, Thresholds{}, "BenchmarkNoSuch-8"); err == nil {
-		t.Fatal("missing reference must error")
-	}
-}
-
-func TestParseRejectsBadJSON(t *testing.T) {
-	if _, err := Parse(strings.NewReader("{not json\n")); err == nil {
-		t.Fatal("bad test2json line must error")
-	}
-}
-
-// TestFindByNameProcSuffix pins that the normalization reference resolves
-// with or without go test's -GOMAXPROCS name suffix.
-func TestFindByNameProcSuffix(t *testing.T) {
-	base := asMap(mk("p", "BenchmarkRef-8", 1000, 0))
-	head := asMap(mk("p", "BenchmarkRef", 1000, 0)) // GOMAXPROCS=1 host
-	rep, err := Compare(base, head, Thresholds{}, "BenchmarkRef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Scale != 1 {
-		t.Fatalf("scale = %v, want 1", rep.Scale)
-	}
-	if _, err := Compare(base, head, Thresholds{}, "BenchmarkRef-16"); err == nil {
-		t.Fatal("explicit wrong suffix must not resolve")
 	}
 }

@@ -193,7 +193,7 @@ func TestBackendRecordsCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("checkpoint round trip drifted")
 	}
 	for _, rec := range resumed.Records {
-		if got := digestKey(rec.Point()); got != rec.Digest {
+		if got := DigestKey(rec.Point()); got != rec.Digest {
 			t.Fatalf("%s record: reconstructed point digests to %s", rec.BackendName(), got)
 		}
 		switch rec.BackendName() {

@@ -8,21 +8,23 @@ import (
 	"os"
 )
 
-// checkpoint is an append-only JSONL record store: one Record per line.
-// Appends happen record-by-record as evaluations complete, so a killed
-// sweep loses at most the in-flight points; a torn final line (the process
-// died mid-write) is tolerated on load and overwritten-by-append harmlessly
-// — the interrupted point simply re-evaluates on resume.
-type checkpoint struct {
-	path string
+// CheckpointWriter is the sweep checkpoint: an append-only JSONL record
+// store, one Record per line. Appends happen record-by-record as
+// evaluations complete, so a killed sweep loses at most the in-flight
+// points; a torn final line (the process died mid-write) is tolerated on
+// load and overwritten-by-append harmlessly — the interrupted point simply
+// re-evaluates on resume. The fleet coordinator uses it to merge record
+// streams from many workers into one file that is indistinguishable from a
+// single-process sweep checkpoint.
+type CheckpointWriter struct {
 	f    *os.File
 	recs []Record
 }
 
-// openCheckpoint loads the existing records of path (if any) and opens it
-// for appending, creating it when absent.
-func openCheckpoint(path string) (*checkpoint, error) {
-	c := &checkpoint{path: path}
+// OpenCheckpointWriter loads the existing records of path (if any) and opens
+// it for appending, creating it when absent.
+func OpenCheckpointWriter(path string) (*CheckpointWriter, error) {
+	c := &CheckpointWriter{}
 	if data, err := os.ReadFile(path); err == nil {
 		c.recs = parseRecords(data)
 	} else if !os.IsNotExist(err) {
@@ -55,29 +57,33 @@ func parseRecords(data []byte) []Record {
 	return recs
 }
 
-// Records returns the records loaded at open time.
-func (c *checkpoint) Records() []Record { return c.recs }
+// Records returns the records recovered at open time.
+func (c *CheckpointWriter) Records() []Record { return c.recs }
 
-// Append writes one record as a JSON line and flushes it to the OS before
+// Append marshals one record as a JSON line and fsyncs it before
 // returning, making the record durable against a process kill. The caller
-// serializes Append calls.
-func (c *checkpoint) Append(rec Record) error {
+// serializes Append/AppendLine calls.
+func (c *CheckpointWriter) Append(rec Record) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("dse: marshal record: %w", err)
 	}
-	return c.appendLine(data)
+	return c.AppendLine(data)
 }
 
-// appendLine writes one pre-encoded record line plus newline and syncs.
-func (c *checkpoint) appendLine(line []byte) error {
+// AppendLine durably appends one checkpoint-format line verbatim (no
+// trailing newline in line). The caller is responsible for having validated
+// it with ParseRecordLine — appending worker-received bytes unmodified is
+// what keeps a fleet-merged checkpoint byte-identical to a local sweep's.
+func (c *CheckpointWriter) AppendLine(line []byte) error {
 	if _, err := c.f.Write(append(append([]byte{}, line...), '\n')); err != nil {
 		return fmt.Errorf("dse: append checkpoint: %w", err)
 	}
 	return c.f.Sync()
 }
 
-func (c *checkpoint) Close() error { return c.f.Close() }
+// Close closes the underlying file.
+func (c *CheckpointWriter) Close() error { return c.f.Close() }
 
 // LoadCheckpoint reads the records of a checkpoint file without opening it
 // for writing — the query side (Pareto extraction over a finished sweep,

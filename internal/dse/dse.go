@@ -87,12 +87,13 @@ func (r Record) Point() Point {
 	return p
 }
 
-// valid reports whether a decoded checkpoint record is self-consistent —
-// bishop records carry their Options, non-bishop records carry a decodable
-// options document — canonicalizing an explicitly spelled bishop tag (and
-// an explicit fidelity 1, which means full fidelity) along the way. Invalid
-// lines are skipped on load and simply re-evaluate.
-func (r *Record) valid() bool {
+// Valid reports whether a decoded record is self-consistent — bishop
+// records carry their Options, non-bishop records carry a decodable options
+// document — canonicalizing an explicitly spelled bishop tag (and an
+// explicit fidelity 1, which means full fidelity) in place. Invalid
+// checkpoint lines are skipped on load and simply re-evaluate; the serving
+// layer's result cache uses it to reject corrupt or stale cache entries.
+func (r *Record) Valid() bool {
 	if r.Fidelity < 0 {
 		return false
 	}
@@ -112,12 +113,6 @@ func (r *Record) valid() bool {
 	}
 }
 
-// Valid reports whether a decoded record is self-consistent (bishop records
-// carry their Options, non-bishop records a decodable options document),
-// canonicalizing an explicit bishop tag in place. The serving layer's result
-// cache uses it to reject corrupt or stale cache entries.
-func (r *Record) Valid() bool { return r.valid() }
-
 // NonGroupTotal sums the group totals for every group except the named one,
 // in group order — e.g. the projection/MLP share when excluding "ATN".
 func (r Record) NonGroupTotal(exclude string) hw.Result {
@@ -130,8 +125,10 @@ func (r Record) NonGroupTotal(exclude string) hw.Result {
 	return t
 }
 
-// digestKey renders a point digest the way checkpoints store it.
-func digestKey(p Point) string { return fmt.Sprintf("%016x", p.Digest()) }
+// DigestKey renders a point digest the way checkpoints and record lines
+// store it (%016x) — the key Dedup and the result cache speak. DigestKeys
+// renders a whole point set.
+func DigestKey(p Point) string { return fmt.Sprintf("%016x", p.Digest()) }
 
 // Evaluate simulates one point at the given trace seed and returns its
 // record. The synthetic trace comes from the process-wide workload cache
@@ -155,7 +152,7 @@ func EvaluateAt(p Point, seed uint64, fidelity int) Record {
 	cfg := transformer.ModelZoo()[p.Model-1]
 	sc := workload.Scenarios()[p.Model]
 	tr := workload.CachedTrace(cfg, sc, workload.TraceOptions{BSA: p.BSA, Scale: fidelity}, seed)
-	rec := Record{Digest: digestKey(p), Model: p.Model, BSA: p.BSA, Seed: seed, Fidelity: fidelity}
+	rec := Record{Digest: DigestKey(p), Model: p.Model, BSA: p.BSA, Seed: seed, Fidelity: fidelity}
 	var rep *hw.Report
 	if p.Backend == nil {
 		opt := p.Opt
@@ -281,7 +278,7 @@ func DigestKeys(points []Point) []string {
 	for i, p := range points {
 		p = p.canon()
 		if p.Backend != nil {
-			keys[i] = digestKey(p)
+			keys[i] = DigestKey(p)
 			continue
 		}
 		k := optKey{opt: p.Opt}
@@ -357,10 +354,10 @@ func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) 
 	// adoption so a checkpoint survives re-ordering of the spec; indices are
 	// recomputed from the current enumeration.
 	done := NewDedupAt(cfg.Seed, cfg.Fidelity)
-	var ckpt *checkpoint
+	var ckpt *CheckpointWriter
 	if cfg.Checkpoint != "" {
 		var err error
-		if ckpt, err = openCheckpoint(cfg.Checkpoint); err != nil {
+		if ckpt, err = OpenCheckpointWriter(cfg.Checkpoint); err != nil {
 			return nil, err
 		}
 		defer ckpt.Close()

@@ -111,7 +111,7 @@ func (s SweepSpec) Validate() error {
 	return nil
 }
 
-// validDigest reports whether d is spelled the way digestKey renders point
+// validDigest reports whether d is spelled the way DigestKey renders point
 // digests: exactly 16 lowercase hex characters.
 func validDigest(d string) bool {
 	if len(d) != 16 {

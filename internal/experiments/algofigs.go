@@ -111,7 +111,7 @@ func Fig5(quick bool, seed uint64) *Table {
 	collect := func(m *transformer.Model) (hist []float64, zero float64, density float64) {
 		hist = make([]float64, buckets)
 		var n int
-		for _, s := range ds.Test[:minInt(8, len(ds.Test))] {
+		for _, s := range ds.Test[:min(8, len(ds.Test))] {
 			m.Forward(s.X)
 			for _, l := range m.Trace().ByGroup("ATN") {
 				tg := bundle.Tag(l.Q, sh)
@@ -169,7 +169,7 @@ func Fig8(quick bool, seed uint64) *Table {
 	focus := func(prune transformer.PruneFn) float64 {
 		m.Prune = prune
 		var all []float64
-		for _, s := range ds.Test[:minInt(8, len(ds.Test))] {
+		for _, s := range ds.Test[:min(8, len(ds.Test))] {
 			m.Forward(s.X)
 			for h := 0; h < m.Cfg.Heads; h++ {
 				for _, sm := range m.AttentionScores(m.Cfg.Blocks - 1)[h] {
@@ -338,11 +338,4 @@ func Run(id string, quick bool, seed uint64) (*Table, error) {
 		return Sec64(seed), nil
 	}
 	return nil, fmt.Errorf("experiments: unknown id %q (want one of %v)", id, FigList())
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

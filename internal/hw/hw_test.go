@@ -84,7 +84,7 @@ func TestChargeStaticAndDRAM(t *testing.T) {
 
 func TestCeilDiv(t *testing.T) {
 	if CeilDiv(10, 3) != 4 || CeilDiv(9, 3) != 3 || CeilDiv(0, 5) != 0 {
-		t.Fatal("ceilDiv broken")
+		t.Fatal("CeilDiv broken")
 	}
 	defer func() {
 		if recover() == nil {

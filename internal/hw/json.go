@@ -29,7 +29,7 @@ func EncodeResult(r Result) ([]byte, error) {
 // and non-finite values.
 func DecodeResult(data []byte) (Result, error) {
 	var r Result
-	if err := decodeStrict(data, &r); err != nil {
+	if err := DecodeStrict(data, &r); err != nil {
 		return Result{}, fmt.Errorf("hw: decode Result: %w", err)
 	}
 	if err := r.CheckFinite("Result"); err != nil {
@@ -53,7 +53,7 @@ func EncodeReport(r *Report) ([]byte, error) {
 // values.
 func DecodeReport(data []byte) (*Report, error) {
 	r := &Report{}
-	if err := decodeStrict(data, r); err != nil {
+	if err := DecodeStrict(data, r); err != nil {
 		return nil, fmt.Errorf("hw: decode Report: %w", err)
 	}
 	if err := r.CheckFinite(); err != nil {
@@ -134,9 +134,11 @@ func (r *Report) CheckFinite() error {
 	return r.Total.CheckFinite("Total")
 }
 
-// decodeStrict unmarshals into v with unknown fields disallowed and verifies
-// the input holds exactly one JSON value.
-func decodeStrict(data []byte, v any) error {
+// DecodeStrict unmarshals into v with unknown fields disallowed and verifies
+// the input holds exactly one JSON value. It is the shared strict-decoding
+// helper for the packages that serialize configurations referencing hw types
+// (accel.Options, the DSE checkpoint records).
+func DecodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -147,11 +149,6 @@ func decodeStrict(data []byte, v any) error {
 	}
 	return nil
 }
-
-// DecodeStrict is the shared strict-decoding helper for the packages that
-// serialize configurations referencing hw types (accel.Options, the DSE
-// checkpoint records).
-func DecodeStrict(data []byte, v any) error { return decodeStrict(data, v) }
 
 // DigestJSON is the repository's configuration fingerprint: a 64-bit FNV-1a
 // over the JSON encoding of v. Go's encoder emits struct fields in

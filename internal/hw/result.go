@@ -87,12 +87,10 @@ func (r *Result) ChargeDRAMBackground(t Tech) {
 	r.EStatic += t.PDRAM * (float64(r.Cycles) * t.CyclePeriod()) * 1e12
 }
 
-func ceilDiv(a, b int64) int64 {
+// CeilDiv is the integer ceiling division used throughout the cycle models.
+func CeilDiv(a, b int64) int64 {
 	if b <= 0 {
-		panic("hw: ceilDiv by non-positive")
+		panic("hw: CeilDiv by non-positive")
 	}
 	return (a + b - 1) / b
 }
-
-// CeilDiv is the integer ceiling division used throughout the cycle models.
-func CeilDiv(a, b int64) int64 { return ceilDiv(a, b) }

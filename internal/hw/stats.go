@@ -77,12 +77,12 @@ func (s LinearStats) WeightDRAMBytes() int64 {
 // packed bit-vectors plus a tag byte; inactive bundles move nothing.
 func (s LinearStats) ActivationDRAMBytes() int64 {
 	bitsPerBundle := int64(s.Shape.Volume())
-	return int64(s.ActiveBundles) * (ceilDiv(bitsPerBundle, 8) + 1)
+	return int64(s.ActiveBundles) * (CeilDiv(bitsPerBundle, 8) + 1)
 }
 
 // OutputDRAMBytes is the writeback of the produced binary spikes.
 func (s LinearStats) OutputDRAMBytes() int64 {
-	return ceilDiv(int64(s.T)*int64(s.N)*int64(s.DOut), 8)
+	return CeilDiv(int64(s.T)*int64(s.N)*int64(s.DOut), 8)
 }
 
 // AttnStats summarizes one SSA layer's workload for the attention-core

@@ -288,7 +288,7 @@ func BenchmarkKernelOrCount(b *testing.B) {
 }
 
 // BenchmarkDispatchedCount measures the public API path (threshold check,
-// atomic load) under the default kernel selection, for benchdiff baselines.
+// atomic load) under the default kernel selection; `make bench-gate` runs it.
 func BenchmarkDispatchedCount(b *testing.B) {
 	s := benchTensor()
 	b.SetBytes(int64(8 * len(s.Words())))

@@ -95,10 +95,3 @@ func Tiny(cfg Config, classes, patchDim int) Config {
 	t.PatchDim = patchDim
 	return t
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

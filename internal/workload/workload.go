@@ -139,10 +139,3 @@ func Generate(rng *tensor.RNG, T, N, D int, p Params) *spike.Tensor {
 	}
 	return s
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
