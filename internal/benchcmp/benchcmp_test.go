@@ -41,19 +41,13 @@ BenchmarkSimulatorSteadyState-8   	     250	   4700000 ns/op
 
 // TestParsePlainText pins that repeated measurements of one benchmark stay
 // separate samples in stream order (sample i is round i), across the
-// per-package streams the gate concatenates, and that one name in two
-// packages is two benchmarks.
+// per-package streams the gate concatenates.
 func TestParsePlainText(t *testing.T) {
 	text := `goos: linux
 goarch: amd64
 pkg: repro/internal/spike
 cpu: whatever
 BenchmarkKernelCount/go-8      500000   3000 ns/op
-some log line mentioning 12 ns/op without being a benchmark
-PASS
-goos: linux
-pkg: repro/internal/accel
-BenchmarkKernelCount/go-8   	     250	   4700000 ns/op	       0 B/op	       2 allocs/op
 PASS
 pkg: repro/internal/spike
 BenchmarkKernelCount/go-8      500000   2900 ns/op
@@ -66,6 +60,30 @@ PASS
 	r, ok := m["repro/internal/spike BenchmarkKernelCount/go-8"]
 	if !ok || len(r.Samples) != 2 || r.Samples[0].NsPerOp != 3000 || r.Samples[1].NsPerOp != 2900 {
 		t.Fatalf("plain-text parse: got %+v (ok=%v)", r, ok)
+	}
+}
+
+// TestParseMetricLines pins that a full metric line (ns/op, B/op, allocs/op)
+// is read in full, that a log line mentioning ns/op is no benchmark, and that
+// one name in two packages is two benchmarks.
+func TestParseMetricLines(t *testing.T) {
+	text := `pkg: repro/internal/spike
+BenchmarkKernelCount/go-8      500000   3000 ns/op
+some log line mentioning 12 ns/op without being a benchmark
+PASS
+pkg: repro/internal/accel
+BenchmarkKernelCount/go-8   	     250	   4700000 ns/op	       0 B/op	       2 allocs/op
+PASS
+`
+	m, err := Parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != 2 {
+		t.Fatalf("parsed %d results, want 2: %v", len(m), m)
+	}
+	if r := m["repro/internal/spike BenchmarkKernelCount/go-8"]; len(r.Samples) != 1 || r.Samples[0].NsPerOp != 3000 {
+		t.Fatalf("stray ns/op line read as a sample: got %+v", r)
 	}
 	a := m["repro/internal/accel BenchmarkKernelCount/go-8"]
 	if len(a.Samples) != 1 || a.Samples[0] != (Sample{NsPerOp: 4700000, AllocsPerOp: 2}) {
