@@ -1,5 +1,5 @@
 // Command bishopd is the sweep-serving daemon: a long-running HTTP/JSON
-// service wrapping the DSE engine and the backend registry behind the
+// service wrapping the DSE engine and the backend table behind the
 // internal/serve API. Clients submit dse.SweepSpec documents — the same
 // spec type cmd/dse runs from flags or -spec files, executed by the same
 // runner — and get back digest-keyed jobs whose records stream as NDJSON in
@@ -10,7 +10,7 @@
 //	GET  /v1/sweeps/{id}          job status (sweep or search; /v1/searches/{id} and its subroutes are aliases)
 //	GET  /v1/sweeps/{id}/records  live NDJSON record stream; ?from=N resumes at offset N; last client leaving cancels the sweep
 //	GET  /v1/sweeps/{id}/frontier live latency/energy Pareto frontier
-//	GET  /v1/backends             registered backends with option schemas
+//	GET  /v1/backends             the backends with option schemas
 //	POST /v1/evaluate             evaluate one point on a named backend
 //	GET  /healthz                 liveness; 503 "draining" once drain begins
 //

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -23,6 +24,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/bundle"
+	"repro/internal/durable"
 	"repro/internal/spike"
 	"repro/internal/tracefile"
 	"repro/internal/transformer"
@@ -66,7 +68,8 @@ func run(args []string, stdout io.Writer) error {
 // pack generates the synthetic traces for a models × BSA grid. With -dir it
 // fills a digest-addressed store (the layout cmd/dse -trace-dir reads, keyed
 // by workload.TraceDigest, skipping traces already present); with -o it
-// writes a single combination to one file with provenance metadata.
+// publishes a single combination to one file with provenance metadata,
+// atomically, so a killed pack never leaves a torn file at that path.
 func pack(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pack", flag.ContinueOnError)
 	models := fs.String("models", "3", "comma-separated Table 2 model indices (1-5)")
@@ -123,23 +126,19 @@ func pack(args []string, stdout io.Writer) error {
 				continue
 			}
 			tr := workload.SyntheticTrace(cfg, sc, opt, *seed)
-			f, err := os.Create(*out)
-			if err != nil {
+			var dig uint64
+			if err := durable.WriteFile(*out, func(bw *bufio.Writer) error {
+				w := tracefile.NewWriter(bw)
+				w.Meta = map[string]string{
+					"source": "workload.SyntheticTrace",
+					"model":  strconv.Itoa(m),
+					"bsa":    strconv.FormatBool(b),
+					"seed":   strconv.FormatUint(*seed, 10),
+				}
+				var err error
+				dig, err = w.WriteTrace(tr)
 				return err
-			}
-			w := tracefile.NewWriter(f)
-			w.Meta = map[string]string{
-				"source": "workload.SyntheticTrace",
-				"model":  strconv.Itoa(m),
-				"bsa":    strconv.FormatBool(b),
-				"seed":   strconv.FormatUint(*seed, 10),
-			}
-			dig, err := w.WriteTrace(tr)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				os.Remove(*out)
+			}); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "packed  %s (model %d bsa=%v seed %d, %d layers, digest %016x)\n",

@@ -6,22 +6,25 @@
 // first-class coordinate, Pareto frontiers and sweeps compare *across*
 // accelerators instead of only across Bishop configurations.
 //
-// Each backend kind registers a Factory under a stable name ("bishop",
-// "ptb", "gpu"). A Backend value carries its options, exposes them through a
-// strict JSON codec (unknown fields rejected, mirroring
-// accel.EncodeOptions/DecodeOptions), and fingerprints itself with a
-// field-order-stable Digest following the accel.Options.Digest conventions
-// (FNV-1a over the canonical encoding of the *normalized* options, with the
-// backend name folded in so equal options on different backends never
-// collide).
+// A static table maps each backend kind's stable name ("bishop", "ptb",
+// "gpu") to its default and decode functions. A Backend value carries its
+// options, exposes them through a strict JSON codec (unknown fields
+// rejected, mirroring accel.EncodeOptions/DecodeOptions), and fingerprints
+// itself with a field-order-stable Digest following the accel.Options.Digest
+// conventions (FNV-1a over the canonical encoding of the *normalized*
+// options, with the backend name folded in so equal options on different
+// backends never collide).
 package backend
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
-	"sync"
 
+	"repro/internal/accel"
+	"repro/internal/baseline/gpu"
+	"repro/internal/baseline/ptb"
 	"repro/internal/hw"
 	"repro/internal/transformer"
 )
@@ -30,7 +33,7 @@ import (
 // Implementations are small immutable values; Simulate must be safe for
 // concurrent use (every simulator in this repo treats traces as read-only).
 type Backend interface {
-	// Name is the registry name of the backend kind ("bishop", "ptb", "gpu").
+	// Name is the table name of the backend kind ("bishop", "ptb", "gpu").
 	Name() string
 	// Simulate runs the trace through the model and returns the per-layer
 	// and end-to-end latency/energy report.
@@ -44,87 +47,69 @@ type Backend interface {
 	Digest() uint64
 }
 
-// Factory describes one registered backend kind.
-type Factory struct {
-	Name string
-	// Default returns the kind's paper-default configuration.
-	Default func() Backend
-	// Decode builds a Backend from a strict-JSON options document (the
+// kind is one entry of the static backend table.
+type kind struct {
+	// def returns the kind's paper-default configuration.
+	def func() Backend
+	// decode builds a Backend from a strict-JSON options document (the
 	// bytes a matching EncodeOptions produced). Unknown fields reject.
-	Decode func(options []byte) (Backend, error)
+	decode func(options []byte) (Backend, error)
 }
 
-var registry = struct {
-	sync.RWMutex
-	m map[string]Factory
-}{m: map[string]Factory{}}
+// kinds maps each backend name to its constructors.
+var kinds = map[string]kind{
+	BishopName: kindOf(accel.DefaultOptions, accel.DecodeOptions, func(o accel.Options) Backend { return Bishop{Opt: o} }),
+	GPUName:    kindOf(gpu.DefaultOptions, gpu.DecodeOptions, func(o gpu.Options) Backend { return GPU{Opt: o} }),
+	PTBName:    kindOf(ptb.DefaultOptions, ptb.DecodeOptions, func(o ptb.Options) Backend { return PTB{Opt: o} }),
+}
 
-// Register adds a backend kind to the registry. It panics on an empty or
-// duplicate name or a nil constructor — registration is an init-time
-// programming contract, not a runtime condition.
-func Register(f Factory) {
-	if f.Name == "" || f.Default == nil || f.Decode == nil {
-		panic("backend: Register with empty name or nil constructor")
+// kindOf builds a table entry from an options package's default and strict
+// decoder and the Backend that wraps its options.
+func kindOf[O any](def func() O, decode func([]byte) (O, error), wrap func(O) Backend) kind {
+	return kind{
+		def: func() Backend { return wrap(def()) },
+		decode: func(options []byte) (Backend, error) {
+			o, err := decode(options)
+			if err != nil {
+				return nil, err
+			}
+			return wrap(o), nil
+		},
 	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[f.Name]; dup {
-		panic(fmt.Sprintf("backend: %q registered twice", f.Name))
-	}
-	registry.m[f.Name] = f
 }
 
-// Names returns the registered backend names, sorted.
-func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, 0, len(registry.m))
-	for n := range registry.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// Names returns the backend names, sorted.
+func Names() []string { return slices.Sorted(maps.Keys(kinds)) }
 
-// Registered reports whether name is a known backend kind.
-func Registered(name string) bool {
-	registry.RLock()
-	defer registry.RUnlock()
-	_, ok := registry.m[name]
-	return ok
-}
-
-func lookup(name string) (Factory, error) {
-	registry.RLock()
-	f, ok := registry.m[name]
-	registry.RUnlock()
+func lookup(name string) (kind, error) {
+	k, ok := kinds[name]
 	if !ok {
-		return Factory{}, fmt.Errorf("backend: unknown backend %q (registered: %s)",
+		return kind{}, fmt.Errorf("backend: unknown backend %q (registered: %s)",
 			name, strings.Join(Names(), ", "))
 	}
-	return f, nil
+	return k, nil
 }
 
 // Default returns the named backend in its paper-default configuration.
 func Default(name string) (Backend, error) {
-	f, err := lookup(name)
+	k, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return f.Default(), nil
+	return k.def(), nil
 }
 
 // Decode builds the named backend from a strict-JSON options document; nil
 // or empty options mean the default configuration.
 func Decode(name string, options []byte) (Backend, error) {
-	f, err := lookup(name)
+	k, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
 	if len(options) == 0 {
-		return f.Default(), nil
+		return k.def(), nil
 	}
-	return f.Decode(options)
+	return k.decode(options)
 }
 
 // FoldName folds a backend name into an options digest, FNV-1a style — the

@@ -24,39 +24,12 @@ func testTrace(t testing.TB) *transformer.Trace {
 }
 
 func TestRegistryNames(t *testing.T) {
-	names := Names()
-	for _, want := range []string{BishopName, GPUName, PTBName} {
-		if !Registered(want) {
-			t.Fatalf("%q not registered (have %v)", want, names)
-		}
-	}
-	if !reflect.DeepEqual(names, []string{BishopName, GPUName, PTBName}) {
+	if names := Names(); !reflect.DeepEqual(names, []string{BishopName, GPUName, PTBName}) {
 		t.Fatalf("Names() = %v, want sorted builtins", names)
 	}
 	if _, err := Default("nope"); err == nil || !strings.Contains(err.Error(), `unknown backend "nope"`) {
 		t.Fatalf("unknown name must error with the registered list: %v", err)
 	}
-}
-
-func TestRegisterRejectsDuplicatesAndNils(t *testing.T) {
-	mustPanic := func(name string, f Factory) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: Register must panic", name)
-			}
-		}()
-		Register(f)
-	}
-	ok := Factory{Name: BishopName,
-		Default: func() Backend { return Bishop{} },
-		Decode:  func([]byte) (Backend, error) { return Bishop{}, nil }}
-	mustPanic("duplicate", ok)
-	bad := ok
-	bad.Name = ""
-	mustPanic("empty name", bad)
-	bad = ok
-	bad.Name, bad.Decode = "fresh", nil
-	mustPanic("nil decode", bad)
 }
 
 // TestDefaultsSimulate ties every builtin backend to the package it wraps:
@@ -145,8 +118,8 @@ func TestDigestsDistinct(t *testing.T) {
 
 // TestTrainedTraceBeatsPTB is the end-to-end co-design claim on a real
 // activation trace: a spiking transformer trained with BSA and ECP-aware
-// pruning is traced on one test input, and through the registry Bishop must
-// beat PTB on latency and energy, and the edge GPU on latency.
+// pruning is traced on one test input, and through the backend table Bishop
+// must beat PTB on latency and energy, and the edge GPU on latency.
 func TestTrainedTraceBeatsPTB(t *testing.T) {
 	ds := dataset.CIFAR10Like(80, 40, 5)
 	m := transformer.NewModel(transformer.Config{Name: "trained-tiny", Blocks: 2, T: 4, N: ds.N,

@@ -6,7 +6,7 @@ import (
 	"repro/internal/transformer"
 )
 
-// BishopName is the registry name of the Bishop accelerator backend — the
+// BishopName is the table name of the Bishop accelerator backend — the
 // canonical backend: DSE records spell it as the *absent* backend tag, so
 // PR 3/4-era checkpoints (which predate the backend coordinate) decode and
 // resume unchanged.
@@ -36,17 +36,3 @@ func (b Bishop) EncodeOptions() ([]byte, error) { return accel.EncodeOptions(b.O
 // stay valid — but anything comparing Backend values directly gets the
 // collision-free name-folded form.
 func (b Bishop) Digest() uint64 { return FoldName(b.Opt.Digest(), BishopName) }
-
-func init() {
-	Register(Factory{
-		Name:    BishopName,
-		Default: func() Backend { return Bishop{Opt: accel.DefaultOptions()} },
-		Decode: func(options []byte) (Backend, error) {
-			o, err := accel.DecodeOptions(options)
-			if err != nil {
-				return nil, err
-			}
-			return Bishop{Opt: o}, nil
-		},
-	})
-}

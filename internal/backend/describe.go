@@ -18,8 +18,8 @@ type OptionField struct {
 	Default json.RawMessage `json:"default"`
 }
 
-// Description is the self-describing schema of one registered backend kind:
-// the registry name, the top-level option fields in canonical (declaration)
+// Description is the self-describing schema of one backend kind: the
+// backend name, the top-level option fields in canonical (declaration)
 // order with their defaults, and the complete default options document. It
 // is what GET /v1/backends serves, and what lets generic callers build a
 // valid options document without importing the backend's concrete option
@@ -35,11 +35,11 @@ type Description struct {
 // consistent with what Decode accepts and EncodeOptions emits, with no
 // hand-maintained field list to drift.
 func Describe(name string) (Description, error) {
-	f, err := lookup(name)
+	b, err := Default(name)
 	if err != nil {
 		return Description{}, err
 	}
-	defaults, err := f.Default().EncodeOptions()
+	defaults, err := b.EncodeOptions()
 	if err != nil {
 		return Description{}, fmt.Errorf("backend: %s default options not encodable: %w", name, err)
 	}
@@ -50,13 +50,13 @@ func Describe(name string) (Description, error) {
 	return Description{Name: name, Options: fields, Defaults: defaults}, nil
 }
 
-// DescribeAll describes every registered backend, sorted by name.
+// DescribeAll describes every backend, sorted by name.
 func DescribeAll() []Description {
 	var out []Description
 	for _, name := range Names() {
 		d, err := Describe(name)
 		if err != nil {
-			panic(err) // unreachable: registered backends always encode their defaults
+			panic(err) // unreachable: every table entry encodes its defaults
 		}
 		out = append(out, d)
 	}

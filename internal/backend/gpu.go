@@ -6,7 +6,7 @@ import (
 	"repro/internal/transformer"
 )
 
-// GPUName is the registry name of the edge-GPU (Jetson Nano) baseline, the
+// GPUName is the table name of the edge-GPU (Jetson Nano) baseline, the
 // paper's software comparison point (§6.2).
 const GPUName = "gpu"
 
@@ -26,17 +26,3 @@ func (b GPU) EncodeOptions() ([]byte, error) { return gpu.EncodeOptions(b.Opt) }
 
 // Digest implements Backend.
 func (b GPU) Digest() uint64 { return FoldName(b.Opt.Digest(), GPUName) }
-
-func init() {
-	Register(Factory{
-		Name:    GPUName,
-		Default: func() Backend { return GPU{Opt: gpu.DefaultOptions()} },
-		Decode: func(options []byte) (Backend, error) {
-			o, err := gpu.DecodeOptions(options)
-			if err != nil {
-				return nil, err
-			}
-			return GPU{Opt: o}, nil
-		},
-	})
-}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/transformer"
 )
 
-// PTBName is the registry name of the Parallel Time Batching baseline
+// PTBName is the table name of the Parallel Time Batching baseline
 // (HPCA'22 [27]), the paper's primary hardware comparison point (§6.1).
 const PTBName = "ptb"
 
@@ -26,17 +26,3 @@ func (b PTB) EncodeOptions() ([]byte, error) { return ptb.EncodeOptions(b.Opt) }
 
 // Digest implements Backend.
 func (b PTB) Digest() uint64 { return FoldName(b.Opt.Digest(), PTBName) }
-
-func init() {
-	Register(Factory{
-		Name:    PTBName,
-		Default: func() Backend { return PTB{Opt: ptb.DefaultOptions()} },
-		Decode: func(options []byte) (Backend, error) {
-			o, err := ptb.DecodeOptions(options)
-			if err != nil {
-				return nil, err
-			}
-			return PTB{Opt: o}, nil
-		},
-	})
-}

@@ -11,14 +11,18 @@ import (
 // CheckpointWriter is the sweep checkpoint: an append-only JSONL record
 // store, one Record per line. Appends happen record-by-record as
 // evaluations complete, so a killed sweep loses at most the in-flight
-// points; a torn final line (the process died mid-write) is tolerated on
-// load and overwritten-by-append harmlessly — the interrupted point simply
-// re-evaluates on resume. The fleet coordinator uses it to merge record
-// streams from many workers into one file that is indistinguishable from a
-// single-process sweep checkpoint.
+// points; a torn final line (the process died mid-write) is skipped on load
+// and closed off by a newline before the next append — the interrupted
+// point simply re-evaluates on resume. The fleet coordinator uses it to
+// merge record streams from many workers into one file that is
+// indistinguishable from a single-process sweep checkpoint.
 type CheckpointWriter struct {
 	f    *os.File
 	recs []Record
+	// torn is set while the file ends in a partial line: the first append
+	// starts with a newline, so the torn fragment stays a malformed line of
+	// its own instead of swallowing the new record.
+	torn bool
 }
 
 // OpenCheckpointWriter loads the existing records of path (if any) and opens
@@ -27,6 +31,7 @@ func OpenCheckpointWriter(path string) (*CheckpointWriter, error) {
 	c := &CheckpointWriter{}
 	if data, err := os.ReadFile(path); err == nil {
 		c.recs = parseRecords(data)
+		c.torn = len(data) > 0 && data[len(data)-1] != '\n'
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("dse: read checkpoint: %w", err)
 	}
@@ -43,8 +48,8 @@ func OpenCheckpointWriter(path string) (*CheckpointWriter, error) {
 // different schema version are re-evaluated rather than half-read). A line
 // without a backend tag is a bishop record — the pre-backend format and the
 // canonical bishop spelling are the same bytes — and a tagged line whose
-// options document does not decode against its registered backend is
-// dropped like any other malformed line.
+// options document does not decode against its backend is dropped like any
+// other malformed line.
 func parseRecords(data []byte) []Record {
 	var recs []Record
 	sc := bufio.NewScanner(bytes.NewReader(data))
@@ -75,10 +80,17 @@ func (c *CheckpointWriter) Append(rec Record) error {
 // trailing newline in line). The caller is responsible for having validated
 // it with ParseRecordLine — appending worker-received bytes unmodified is
 // what keeps a fleet-merged checkpoint byte-identical to a local sweep's.
+// Over a torn tail the newline that ends the fragment goes out in the same
+// write; the file is never truncated.
 func (c *CheckpointWriter) AppendLine(line []byte) error {
-	if _, err := c.f.Write(append(append([]byte{}, line...), '\n')); err != nil {
+	buf := make([]byte, 0, len(line)+2)
+	if c.torn {
+		buf = append(buf, '\n')
+	}
+	if _, err := c.f.Write(append(append(buf, line...), '\n')); err != nil {
 		return fmt.Errorf("dse: append checkpoint: %w", err)
 	}
+	c.torn = false
 	return c.f.Sync()
 }
 

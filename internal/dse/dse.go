@@ -58,7 +58,7 @@ type Record struct {
 	Groups     map[string]hw.Result `json:"groups"`
 }
 
-// BackendName returns the registry name of the record's backend ("bishop"
+// BackendName returns the name of the record's backend ("bishop"
 // for the canonical empty tag).
 func (r Record) BackendName() string {
 	if r.Backend == "" {

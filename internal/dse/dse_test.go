@@ -288,6 +288,19 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 	if !reflect.DeepEqual(resumed.Records, full.Records) {
 		t.Fatal("torn-tail recovery drifted from a clean sweep")
 	}
+	// The record appended after the torn fragment must be its own line on
+	// disk: the file holds every point, and a second resume evaluates none.
+	onDisk, err := LoadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(onDisk) != len(points) {
+		t.Fatalf("checkpoint holds %d records after the torn-tail resume, want %d", len(onDisk), len(points))
+	}
+	again, err := Sweep(context.Background(), points, Config{Seed: 1, Checkpoint: ckpt})
+	if err != nil || again.Evaluated != 0 {
+		t.Fatalf("second resume: %v, evaluated %d want 0", err, again.Evaluated)
+	}
 }
 
 func TestFrontierProperties(t *testing.T) {

@@ -4,7 +4,7 @@
 // split target, ECP threshold, tech node) crossed with workload scenarios
 // (Table 2 model × ±BSA) and, since the backend refactor, with the
 // accelerator *backend* itself (Bishop, the PTB baseline, the edge GPU —
-// any registered backend.Backend); the engine enumerates grid or
+// every backend.Backend kind); the engine enumerates grid or
 // seeded-random point sets, evaluates them in parallel on the sched worker
 // pool against cached synthetic traces, persists every evaluated point to a
 // resumable/shardable JSONL checkpoint, and extracts latency/energy/EDP
@@ -13,6 +13,7 @@ package dse
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/accel"
 	"repro/internal/backend"
@@ -53,8 +54,8 @@ func (p Point) canon() Point {
 	return p
 }
 
-// BackendName returns the registry name of the point's backend ("bishop"
-// when Backend is nil).
+// BackendName returns the name of the point's backend ("bishop" when
+// Backend is nil).
 func (p Point) BackendName() string {
 	p = p.canon()
 	if p.Backend != nil {
@@ -129,8 +130,7 @@ type Space struct {
 
 	// Backends selects the accelerators to evaluate every workload on
 	// (default {"bishop"}). Bishop points cross the full Bishop axis set
-	// below; ptb and gpu points cross their own option axes; any other
-	// registered backend contributes its default configuration.
+	// below; ptb and gpu points cross their own option axes.
 	Backends []string `json:"backends,omitempty"`
 
 	Shapes       []bundle.Shape `json:"shapes,omitempty"`        // TTB volumes (default {bundle.DefaultShape})
@@ -189,7 +189,7 @@ func (s Space) normalized() Space {
 }
 
 // Validate reports an invalid axis value (models out of Table 2 range,
-// non-positive bundle shapes, unregistered backend names, invalid baseline
+// non-positive bundle shapes, unknown backend names, invalid baseline
 // options) before a sweep burns time on it.
 func (s Space) Validate() error {
 	n := s.normalized()
@@ -200,7 +200,7 @@ func (s Space) Validate() error {
 		}
 	}
 	for _, name := range n.Backends {
-		if !backend.Registered(name) {
+		if !slices.Contains(backend.Names(), name) {
 			return fmt.Errorf("dse: unknown backend %q (registered: %v)", name, backend.Names())
 		}
 	}
@@ -255,7 +255,7 @@ func makePoint(model int, bsa bool, sh bundle.Shape, stratify bool,
 }
 
 // backendPoints enumerates the configurations of one non-bishop backend for
-// a workload coordinate, in axis order.
+// a workload coordinate, in axis order. Validate rejects every other name.
 func (s Space) backendPoints(model int, bsa bool, name string) []Point {
 	var pts []Point
 	switch name {
@@ -266,13 +266,6 @@ func (s Space) backendPoints(model int, bsa bool, name string) []Point {
 	case backend.GPUName:
 		for _, o := range s.GPU {
 			pts = append(pts, Point{Model: model, BSA: bsa, Backend: backend.GPU{Opt: o}})
-		}
-	default:
-		// A registered backend without a dedicated option axis contributes
-		// its default configuration (Validate rejects unregistered names;
-		// Grid and Sample on an unvalidated space simply skip them).
-		if b, err := backend.Default(name); err == nil {
-			pts = append(pts, Point{Model: model, BSA: bsa, Backend: b})
 		}
 	}
 	return pts
@@ -357,9 +350,6 @@ func (s Space) Sample(count int, seed uint64) []Point {
 		}
 		if be != backend.BishopName {
 			bp := n.backendPoints(m, bsa, be)
-			if len(bp) == 0 {
-				continue // unregistered name on an unvalidated space
-			}
 			pts = append(pts, bp[pick(len(bp))])
 			continue
 		}

@@ -1,0 +1,55 @@
+// Package durable is the one atomic-publication path for the repo's durable
+// files: trace-store entries, result-cache records, compacted checkpoints and
+// exported trace files. Every such write goes through WriteFile, so a
+// crash-consistency test of the durable-write path has a single seam to
+// exercise.
+package durable
+
+import (
+	"bufio"
+	"os"
+	"path/filepath"
+	"sync"
+)
+
+// writers recycles the staging buffers: a result-cache record is published
+// per evaluated point, and a fresh 4 KiB buffer each time would outweigh the
+// record itself in allocated bytes.
+var writers = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+
+// WriteFile atomically replaces path with the bytes write produces. The bytes
+// are staged in a ".tmp-*" file in path's directory, then flushed, fsynced,
+// closed and renamed over path. A reader, or a process restarted after a
+// crash, sees either the previous file or the complete new one, never a
+// prefix. On any error the temp file is removed and path is left as it was.
+// Concurrent writers of one path each stage their own temp file; one rename
+// wins.
+func WriteFile(path string, write func(*bufio.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	bw := writers.Get().(*bufio.Writer)
+	bw.Reset(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	bw.Reset(nil)
+	writers.Put(bw)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
+}

@@ -33,7 +33,7 @@ func traceFor(m int, bsa bool, seed uint64) *transformer.Trace {
 }
 
 // mustBackend returns the named backend in its default configuration; the
-// figure drivers reference only registered builtins, so failure is a
+// figure drivers reference only builtin backend names, so failure is a
 // programming error.
 func mustBackend(name string) backend.Backend {
 	b, err := backend.Default(name)

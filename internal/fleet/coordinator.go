@@ -1,15 +1,17 @@
 package fleet
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/dse"
+	"repro/internal/durable"
 	"repro/internal/serve"
 )
 
@@ -409,25 +411,26 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 
 // compactCheckpoint atomically replaces the arrival-order merge log with the
 // unit-ordered record set — the exact bytes an unsharded, single-evaluator
-// dse.Sweep checkpoint of the same spec holds.
+// dse.Sweep checkpoint of the same spec holds. It publishes through
+// durable.WriteFile with one fsync for the whole file; a compaction killed
+// partway leaves the arrival log intact, and the next run resumes from it.
 func compactCheckpoint(path string, recs []dse.Record) error {
-	tmp := path + ".compact"
-	w, err := dse.OpenCheckpointWriter(tmp)
-	if err != nil {
-		return err
-	}
-	for _, rec := range recs {
-		if err := w.Append(rec); err != nil {
-			_ = w.Close() // the append error wins; the temp file is removed next
-			os.Remove(tmp)
-			return err
+	err := durable.WriteFile(path, func(w *bufio.Writer) error {
+		for _, rec := range recs {
+			data, err := json.Marshal(rec)
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(append(data, '\n')); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("fleet: compact checkpoint: %w", err)
 	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // Workers sorted for deterministic reporting.

@@ -117,6 +117,48 @@ func TestFleetMergeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestFleetCompactionIgnoresTornLeftovers pins that compaction never reads
+// a leftover of an earlier, killed compaction: with a torn 40-byte
+// "<checkpoint>.compact" already on disk, the published checkpoint is still
+// byte-identical to the unsharded run, every point loads from it, and no
+// temp file stays behind.
+func TestFleetCompactionIgnoresTornLeftovers(t *testing.T) {
+	spec := fleetSpec()
+	want := referenceCheckpoint(t, spec)
+	dir := t.TempDir()
+	ck := filepath.Join(dir, "merged.jsonl")
+	if err := os.WriteFile(ck+".compact", want[:40], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	workers := []string{newWorkerServer(t, serve.ManagerConfig{}).URL, newWorkerServer(t, serve.ManagerConfig{}).URL}
+	if _, err := Run(context.Background(), spec, Config{
+		Workers:    workers,
+		Checkpoint: ck,
+		LeaseTTL:   10 * time.Second,
+		Worker:     fleetWorkerConfig(),
+		Logf:       t.Logf,
+	}); err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	got, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("compacted checkpoint differs from unsharded run: %d vs %d bytes", len(got), len(want))
+	}
+	recs, err := dse.LoadCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(spec.Points()); len(recs) != n {
+		t.Fatalf("compacted checkpoint loads %d of %d records", len(recs), n)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+}
+
 // TestFleetMergeByteIdenticalUnderFaults is the adversarial version: two of
 // the three workers sit behind fault proxies injecting dropped connections,
 // 500s, and mid-stream truncation on a seeded schedule — and the merged

@@ -6,11 +6,13 @@ import (
 
 // storeScope is the set of packages that publish durable artifacts readers
 // may open concurrently: the digest-addressed trace store, the serve result
-// cache, DSE checkpoints, and the fleet merge log. A final path written in
-// place can be observed half-written; these packages must stage bytes in a
-// temp file, sync, and publish with an atomic rename.
+// cache, DSE checkpoints, the fleet merge log, and the durable package that
+// publishes all of them. A final path written in place can be observed
+// half-written; these packages must stage bytes in a temp file, sync, and
+// publish with an atomic rename.
 var storeScope = []string{
 	"internal/dse",
+	"internal/durable",
 	"internal/fleet",
 	"internal/serve",
 	"internal/tracefile",

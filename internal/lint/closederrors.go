@@ -14,6 +14,7 @@ var durableScope = []string{
 	"cmd/dse",
 	"cmd/trace",
 	"internal/dse",
+	"internal/durable",
 	"internal/fleet",
 	"internal/serve",
 	"internal/tracefile",

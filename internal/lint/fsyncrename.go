@@ -8,8 +8,8 @@ import (
 
 // FsyncBeforeRename requires every function that publishes with os.Rename
 // to durably flush the renamed bytes first: a (*os.File).Sync call — or a
-// call to a function that transitively syncs (tracefile's writeTo, a
-// checkpoint writer's per-record Append) — must appear before the rename.
+// call to a function that transitively syncs (a checkpoint writer's
+// per-record Append) — must appear before the rename.
 // Rename publishes a name atomically, but without the preceding fsync a
 // crash can leave the published name pointing at zero-length or partial
 // bytes, which breaks the "a store entry is always a complete, verified

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/dse"
+	"repro/internal/durable"
 	"repro/internal/hw"
 )
 
@@ -17,11 +19,12 @@ import (
 // on a digest another request already computed is served from disk instead
 // of re-simulated — and it persists across daemon restarts.
 //
-// Publication mirrors tracefile.Store.Save: bytes land in a temp file in
-// the same directory and are published with an atomic rename, so under
-// concurrent writers of one key the entry is always a complete document
-// (evaluation is deterministic, so every competing writer carries the same
-// record and it does not matter which wins).
+// Publication goes through durable.WriteFile, like tracefile.Store.Save:
+// bytes land in a temp file in the same directory, are fsynced, and are
+// published with an atomic rename, so under concurrent writers of one key
+// the entry is always a complete document (evaluation is deterministic, so
+// every competing writer carries the same record and it does not matter
+// which wins).
 type Cache struct {
 	Dir string
 }
@@ -70,23 +73,10 @@ func (c Cache) Save(rec dse.Record) error {
 	if err != nil {
 		return fmt.Errorf("serve: cache: marshal record: %w", err)
 	}
-	f, err := os.CreateTemp(c.Dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: cache: %w", err)
-	}
-	tmp := f.Name()
-	_, err = f.Write(append(data, '\n'))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, c.PathAt(rec.Digest, rec.Seed, rec.Fidelity))
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := durable.WriteFile(c.PathAt(rec.Digest, rec.Seed, rec.Fidelity), func(w *bufio.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("serve: cache: save %s: %w", rec.Digest, err)
 	}
 	return nil

@@ -25,7 +25,7 @@ const maxBodyBytes = 1 << 20
 //	GET  /v1/sweeps/{id}          job status (sweep or search — one job table; /v1/searches/{id} is an alias)
 //	GET  /v1/sweeps/{id}/records  NDJSON record stream (checkpoint line format), live until the job ends; ?from=N resumes at offset N
 //	GET  /v1/sweeps/{id}/frontier live latency/energy Pareto frontier (dse.FrontierJSON)
-//	GET  /v1/backends             registered backends with option schemas
+//	GET  /v1/backends             the backends with option schemas
 //	POST /v1/evaluate             evaluate one point on a named backend → record
 //	GET  /healthz                 liveness; 503 "draining" once drain has begun
 //

@@ -9,46 +9,12 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/durable"
 	"repro/internal/transformer"
 )
 
 // Ext is the trace-file extension used by the store and the CLIs.
 const Ext = ".btrc"
-
-// WriteFile serializes tr to path (buffered, synced) and returns the content
-// digest. It writes in place; use Store.Save for atomic, concurrency-safe
-// publication.
-func WriteFile(path string, tr *transformer.Trace) (uint64, error) {
-	//lint:ignore atomic-publish documented in-place single-file export API (cmd/trace pack -o); digest-addressed publication goes through Store.Save's temp+rename
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, fmt.Errorf("tracefile: %w", err)
-	}
-	dig, err := writeTo(f, tr)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-		return 0, err
-	}
-	return dig, nil
-}
-
-func writeTo(f *os.File, tr *transformer.Trace) (uint64, error) {
-	bw := bufio.NewWriterSize(f, 1<<20)
-	dig, err := Encode(bw, tr)
-	if err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, fmt.Errorf("tracefile: flush: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return 0, fmt.Errorf("tracefile: sync: %w", err)
-	}
-	return dig, nil
-}
 
 // ReadFile decodes the trace stored at path, verifying CRCs, the content
 // digest, and that nothing trails the encoded trace.
@@ -126,31 +92,22 @@ func (s Store) Load(key uint64) (*transformer.Trace, error) {
 	return tr, err
 }
 
-// Save persists tr under key atomically: the bytes land in a temp file in
-// the same directory, are fsynced, and are published with a rename. Under
-// concurrent writers of the same key — including separate processes sharing
-// the directory over a filesystem with atomic rename — one writer wins and
-// the entry is always a complete, verified file; because encoding is
-// deterministic, every competing writer produces identical bytes, so it
-// does not matter which. Partially written temp files never alias the key.
+// Save persists tr under key atomically through durable.WriteFile: the bytes
+// land in a temp file in the same directory, are fsynced, and are published
+// with a rename. Under concurrent writers of the same key — including
+// separate processes sharing the directory over a filesystem with atomic
+// rename — one writer wins and the entry is always a complete, verified
+// file; because encoding is deterministic, every competing writer produces
+// identical bytes, so it does not matter which. Partially written temp files
+// never alias the key.
 func (s Store) Save(key uint64, tr *transformer.Trace) error {
 	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
 		return fmt.Errorf("tracefile: %w", err)
 	}
-	f, err := os.CreateTemp(s.Dir, ".tmp-*"+Ext)
-	if err != nil {
-		return fmt.Errorf("tracefile: %w", err)
-	}
-	tmp := f.Name()
-	_, err = writeTo(f, tr)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, s.Path(key))
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := durable.WriteFile(s.Path(key), func(w *bufio.Writer) error {
+		_, err := Encode(w, tr)
+		return err
+	}); err != nil {
 		return fmt.Errorf("tracefile: save %016x: %w", key, err)
 	}
 	return nil

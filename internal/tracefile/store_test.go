@@ -102,10 +102,10 @@ func TestStoreConcurrentWriters(t *testing.T) {
 }
 
 func TestReadFileRejectsTrailingData(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t"+tracefile.Ext)
+	st := tracefile.Store{Dir: t.TempDir()}
+	path := st.Path(5)
 	tr := testTrace(5, 20)
-	if _, err := tracefile.WriteFile(path, tr); err != nil {
+	if err := st.Save(5, tr); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tracefile.ReadFile(path); err != nil {
@@ -123,10 +123,13 @@ func TestReadFileRejectsTrailingData(t *testing.T) {
 }
 
 func TestFileInfo(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t"+tracefile.Ext)
+	st := tracefile.Store{Dir: t.TempDir()}
+	path := st.Path(6)
 	tr := testTrace(6, 64)
-	dig, err := tracefile.WriteFile(path, tr)
+	if err := st.Save(6, tr); err != nil {
+		t.Fatal(err)
+	}
+	dig, err := tracefile.Digest(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,7 @@ func TestFileInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if in.Digest != dig {
-		t.Fatalf("FileInfo digest %016x, WriteFile returned %016x", in.Digest, dig)
+		t.Fatalf("FileInfo digest %016x, tracefile.Digest %016x", in.Digest, dig)
 	}
 	if in.FileBytes <= in.PayloadBytes || in.PayloadBytes <= 0 {
 		t.Fatalf("implausible sizes: %+v", in)
