@@ -109,8 +109,8 @@ vet:
 	GOARCH=arm64 $(GO) vet ./...
 
 # The repo's own static-analysis suite (internal/lint via cmd/bishoplint):
-# determinism, strict-json, atomic-publish, fsync-before-rename, and
-# closed-errors checks over every non-test package (testdata/ and vendor/
+# determinism, strict-json, durable-writes (only internal/durable writes
+# files) and closed-errors checks over every non-test package (testdata/ and vendor/
 # trees excluded, pinned by internal/lint tests). Exits nonzero on any
 # finding; deliberate exceptions need a reasoned //lint:ignore. See the
 # README "Static analysis" section.

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -38,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/dse"
+	"repro/internal/durable"
 	"repro/internal/fleet"
 )
 
@@ -166,7 +168,10 @@ func writeFrontier(stdout io.Writer, path string, recs []dse.Record) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := durable.WriteFile(path, func(w *bufio.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "bishopctl: frontier (%d points) written to %s\n", len(front), path)

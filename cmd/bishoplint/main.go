@@ -1,9 +1,9 @@
 // bishoplint runs the repo's custom static-analysis suite (internal/lint)
 // over the module and exits nonzero on findings. It mechanically enforces
 // the contracts the durable infrastructure depends on: deterministic
-// digest inputs, strict unknown-field-rejecting JSON codecs, atomic
-// temp+Sync+rename publication, fsync-before-rename durability, and
-// checked Close/Sync/Flush errors on durable writers.
+// digest inputs, strict unknown-field-rejecting JSON codecs, file writes
+// confined to internal/durable (whose renames follow a Sync), and checked
+// Close/Sync/Flush errors on durable writers.
 //
 // Usage:
 //

@@ -46,6 +46,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -60,6 +61,7 @@ import (
 
 	"repro/internal/bundle"
 	"repro/internal/dse"
+	"repro/internal/durable"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -312,7 +314,10 @@ func writeOutputs(stdout io.Writer, front, recs []dse.Record, frontier, records,
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(frontier, data, 0o644); err != nil {
+		if err := durable.WriteFile(frontier, func(w *bufio.Writer) error {
+			_, err := w.Write(data)
+			return err
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "\nwrote %s (%d frontier points)\n", frontier, len(front))
@@ -329,16 +334,17 @@ func writeOutputs(stdout io.Writer, front, recs []dse.Record, frontier, records,
 // writeRecords dumps the merged record set as JSONL — the same line format
 // the checkpoint and the daemon's record stream use.
 func writeRecords(path string, recs []dse.Record) error {
-	var buf strings.Builder
-	for _, r := range recs {
-		line, err := json.Marshal(r)
-		if err != nil {
-			return err
+	return durable.WriteFile(path, func(w *bufio.Writer) error {
+		for _, r := range recs {
+			line, err := json.Marshal(r)
+			if err != nil {
+				return err
+			}
+			w.Write(line)
+			w.WriteByte('\n')
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	return os.WriteFile(path, []byte(buf.String()), 0o644)
+		return nil
+	})
 }
 
 func parseSpace(models, bsa, shapes, thetas, splits, stratify, ecp string) (dse.Space, error) {

@@ -6,41 +6,31 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"repro/internal/durable"
 )
 
 // CheckpointWriter is the sweep checkpoint: an append-only JSONL record
-// store, one Record per line. Appends happen record-by-record as
-// evaluations complete, so a killed sweep loses at most the in-flight
-// points; a torn final line (the process died mid-write) is skipped on load
-// and closed off by a newline before the next append — the interrupted
-// point simply re-evaluates on resume. The fleet coordinator uses it to
+// store, one Record per line, kept in a durable.Journal. Appends happen
+// record-by-record as evaluations complete, so a killed sweep loses at most
+// the in-flight points; a torn final line (the process died mid-write) is
+// skipped on load and closed off by a newline before the next append — the
+// interrupted point simply re-evaluates on resume. The fleet coordinator uses it to
 // merge record streams from many workers into one file that is
 // indistinguishable from a single-process sweep checkpoint.
 type CheckpointWriter struct {
-	f    *os.File
+	j    *durable.Journal
 	recs []Record
-	// torn is set while the file ends in a partial line: the first append
-	// starts with a newline, so the torn fragment stays a malformed line of
-	// its own instead of swallowing the new record.
-	torn bool
 }
 
 // OpenCheckpointWriter loads the existing records of path (if any) and opens
 // it for appending, creating it when absent.
 func OpenCheckpointWriter(path string) (*CheckpointWriter, error) {
-	c := &CheckpointWriter{}
-	if data, err := os.ReadFile(path); err == nil {
-		c.recs = parseRecords(data)
-		c.torn = len(data) > 0 && data[len(data)-1] != '\n'
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("dse: read checkpoint: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, data, err := durable.OpenJournal(path)
 	if err != nil {
 		return nil, fmt.Errorf("dse: open checkpoint: %w", err)
 	}
-	c.f = f
-	return c, nil
+	return &CheckpointWriter{j: j, recs: parseRecords(data)}, nil
 }
 
 // parseRecords decodes JSONL content, skipping blank and malformed lines
@@ -51,6 +41,9 @@ func OpenCheckpointWriter(path string) (*CheckpointWriter, error) {
 // options document does not decode against its backend is dropped like any
 // other malformed line.
 func parseRecords(data []byte) []Record {
+	if len(data) == 0 {
+		return nil // a new checkpoint: skip the 1 MiB scanner buffer
+	}
 	var recs []Record
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -80,22 +73,15 @@ func (c *CheckpointWriter) Append(rec Record) error {
 // trailing newline in line). The caller is responsible for having validated
 // it with ParseRecordLine — appending worker-received bytes unmodified is
 // what keeps a fleet-merged checkpoint byte-identical to a local sweep's.
-// Over a torn tail the newline that ends the fragment goes out in the same
-// write; the file is never truncated.
 func (c *CheckpointWriter) AppendLine(line []byte) error {
-	buf := make([]byte, 0, len(line)+2)
-	if c.torn {
-		buf = append(buf, '\n')
-	}
-	if _, err := c.f.Write(append(append(buf, line...), '\n')); err != nil {
+	if err := c.j.Append(line); err != nil {
 		return fmt.Errorf("dse: append checkpoint: %w", err)
 	}
-	c.torn = false
-	return c.f.Sync()
+	return nil
 }
 
 // Close closes the underlying file.
-func (c *CheckpointWriter) Close() error { return c.f.Close() }
+func (c *CheckpointWriter) Close() error { return c.j.Close() }
 
 // LoadCheckpoint reads the records of a checkpoint file without opening it
 // for writing — the query side (Pareto extraction over a finished sweep,

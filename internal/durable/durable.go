@@ -1,8 +1,10 @@
-// Package durable is the one atomic-publication path for the repo's durable
-// files: trace-store entries, result-cache records, compacted checkpoints and
-// exported trace files. Every such write goes through WriteFile, so a
-// crash-consistency test of the durable-write path has a single seam to
-// exercise.
+// Package durable is the only package that writes files. WriteFile is the
+// one atomic-publication path, for trace-store entries, result-cache
+// records, compacted checkpoints, exported trace files and the CLIs' output
+// files; Journal is the fsynced append-only file under sweep checkpoints.
+// bishoplint's durable-writes check keeps file writes out of every other
+// package, so a crash-consistency test of the durable-write path has a
+// single seam to exercise.
 package durable
 
 import (

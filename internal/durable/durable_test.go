@@ -58,3 +58,57 @@ func TestWriteFile(t *testing.T) {
 		t.Fatalf("missing directory must report os.ErrNotExist, got %v", err)
 	}
 }
+
+// TestJournalAppendClosesTornTail pins the append over a torn tail: the
+// newline that ends the fragment and the new line go out in one write, the
+// file is never truncated, and every complete earlier line survives.
+func TestJournalAppendClosesTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	const prior = "one\ntwo\n{\"torn"
+	if err := os.WriteFile(path, []byte(prior), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, data, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != prior {
+		t.Fatalf("OpenJournal returned %q, want the existing bytes %q", data, prior)
+	}
+	for _, line := range []string{"three", "four"} {
+		if err := j.Append([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := prior + "\nthree\nfour\n"
+	if got, err := os.ReadFile(path); err != nil || string(got) != want {
+		t.Fatalf("journal holds %q, %v; want %q", got, err, want)
+	}
+}
+
+// TestJournalCreatesMissingFile pins that a journal on a new path starts
+// empty and that an intact tail gets no extra newline on reopen.
+func TestJournalCreatesMissingFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	for i, line := range []string{"first", "second"} {
+		j, data, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && data != nil {
+			t.Fatalf("new journal returned existing bytes %q", data)
+		}
+		if err := j.Append([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "first\nsecond\n" {
+		t.Fatalf("journal holds %q, %v", got, err)
+	}
+}

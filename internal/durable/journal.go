@@ -1,0 +1,47 @@
+package durable
+
+import "os"
+
+// Journal is an append-only file of newline-terminated lines, each fsynced
+// before Append returns, so a killed writer loses at most the line in
+// flight. A crash mid-append can leave a torn final line; Journal never
+// truncates it away but closes it off with a newline before the next line,
+// so the fragment stays a malformed line of its own for the reader to skip.
+// The caller serializes Append calls.
+type Journal struct {
+	f *os.File
+	// torn is set while the file ends in a partial line.
+	torn bool
+}
+
+// OpenJournal opens path for appending, creating it when absent, and
+// returns the bytes it already holds (nil for a new file).
+func OpenJournal(path string) (*Journal, []byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Journal{f: f, torn: len(data) > 0 && data[len(data)-1] != '\n'}, data, nil
+}
+
+// Append durably appends line (which must not contain a newline) and its
+// terminating newline. Over a torn tail the newline that ends the fragment
+// goes out in the same write.
+func (j *Journal) Append(line []byte) error {
+	buf := make([]byte, 0, len(line)+2)
+	if j.torn {
+		buf = append(buf, '\n')
+	}
+	if _, err := j.f.Write(append(append(buf, line...), '\n')); err != nil {
+		return err
+	}
+	j.torn = false
+	return j.f.Sync()
+}
+
+// Close closes the underlying file.
+func (j *Journal) Close() error { return j.f.Close() }

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -27,17 +28,19 @@ func sampleReport() *Report {
 	return rep
 }
 
+// TestResultJSONRoundTrip pins that a Result, as a checkpoint record carries
+// it, survives json.Marshal and DecodeStrict bit-exactly.
 func TestResultJSONRoundTrip(t *testing.T) {
 	// 1/(3k) and the DRAM-background charge are not exactly representable;
-	// the codec must round-trip them bit-exactly anyway.
+	// the round trip must keep them bit-exact anyway.
 	for _, k := range []float64{1, 3, 7.77, 1e-9, 1e12} {
 		in := sampleResult(k)
-		data, err := EncodeResult(in)
+		data, err := json.Marshal(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := DecodeResult(data)
-		if err != nil {
+		var out Result
+		if err := DecodeStrict(data, &out); err != nil {
 			t.Fatal(err)
 		}
 		if in != out {
@@ -51,12 +54,12 @@ func TestResultJSONRoundTrip(t *testing.T) {
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	in := sampleReport()
-	data, err := EncodeReport(in)
+	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeReport(data)
-	if err != nil {
+	out := &Report{}
+	if err := DecodeStrict(data, out); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
@@ -74,19 +77,20 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 		`{"Cycles": 1} {"Cycles": 2}`, // trailing value
 	}
 	for _, c := range cases {
-		if _, err := DecodeResult([]byte(c)); err == nil {
-			t.Errorf("DecodeResult(%q) must fail", c)
+		var r Result
+		if err := DecodeStrict([]byte(c), &r); err == nil {
+			t.Errorf("DecodeStrict(%q) must fail", c)
 		}
 	}
 	// Unknown fields are rejected even nested inside layers.
 	bad := `{"Name":"x","Layers":[{"Result":{"Cyclez":1}}]}`
-	if _, err := DecodeReport([]byte(bad)); err == nil {
-		t.Error("DecodeReport must reject unknown nested field")
+	if err := DecodeStrict([]byte(bad), &Report{}); err == nil {
+		t.Error("DecodeStrict must reject an unknown field nested in Layers")
 	}
 }
 
 func FuzzDecodeResult(f *testing.F) {
-	seed, err := EncodeResult(sampleResult(2))
+	seed, err := json.Marshal(sampleResult(2))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -96,28 +100,28 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add(`{`)
 	f.Add(`null`)
 	f.Fuzz(func(t *testing.T, data string) {
-		r, err := DecodeResult([]byte(data))
-		if err != nil {
+		var r Result
+		if err := DecodeStrict([]byte(data), &r); err != nil {
 			return
 		}
 		// Whatever decodes must re-encode and decode to the same value:
-		// decode∘encode is the identity on the codec's image.
-		enc, err := EncodeResult(r)
+		// decode∘encode is the identity on the decoder's image.
+		enc, err := json.Marshal(r)
 		if err != nil {
 			t.Fatalf("decoded value does not re-encode: %v", err)
 		}
-		r2, err := DecodeResult(enc)
-		if err != nil {
+		var r2 Result
+		if err := DecodeStrict(enc, &r2); err != nil {
 			t.Fatalf("re-encoded value does not decode: %v", err)
 		}
-		if r != r2 && !(math.IsNaN(r.EPE) || math.IsNaN(r.EGLB) || math.IsNaN(r.EDRAM) || math.IsNaN(r.EStatic)) {
+		if r != r2 {
 			t.Fatalf("decode∘encode not identity: %+v vs %+v", r, r2)
 		}
 	})
 }
 
 func FuzzDecodeReport(f *testing.F) {
-	seed, err := EncodeReport(sampleReport())
+	seed, err := json.Marshal(sampleReport())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -125,81 +129,38 @@ func FuzzDecodeReport(f *testing.F) {
 	f.Add(`{"Name":"a","Layers":[]}`)
 	f.Add(`{"Layers":[{"Group":"P1"}]}`)
 	f.Fuzz(func(t *testing.T, data string) {
-		rep, err := DecodeReport([]byte(data))
-		if err != nil {
+		rep := &Report{}
+		if err := DecodeStrict([]byte(data), rep); err != nil {
 			return
 		}
-		enc, err := EncodeReport(rep)
+		enc, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatalf("decoded report does not re-encode: %v", err)
 		}
-		if _, err := DecodeReport(enc); err != nil {
+		if err := DecodeStrict(enc, &Report{}); err != nil {
 			t.Fatalf("re-encoded report does not decode: %v", err)
 		}
 	})
 }
 
-// TestEncodeNonFiniteNamesField pins the bugfix: a NaN/Inf in an encode no
-// longer surfaces as encoding/json's opaque "unsupported value" error — the
-// offending field is named.
-func TestEncodeNonFiniteNamesField(t *testing.T) {
-	r := sampleResult(1)
-	r.EGLB = math.NaN()
-	if _, err := EncodeResult(r); err == nil || !strings.Contains(err.Error(), "Result.EGLB is NaN") {
-		t.Fatalf("want named NaN field, got %v", err)
-	}
-	r.EGLB = math.Inf(1)
-	if _, err := EncodeResult(r); err == nil || !strings.Contains(err.Error(), "Result.EGLB is +Inf") {
-		t.Fatalf("want named +Inf field, got %v", err)
-	}
-
-	rep := sampleReport()
-	rep.Layers[0].Dense.EStatic = math.Inf(-1)
-	if _, err := EncodeReport(rep); err == nil ||
-		!strings.Contains(err.Error(), "Layers[0](blk0.Wq).Dense.EStatic is -Inf") {
-		t.Fatalf("want named layer field, got %v", err)
-	}
-
-	rep = sampleReport()
-	rep.Tech.PDRAM = math.NaN()
-	if _, err := EncodeReport(rep); err == nil || !strings.Contains(err.Error(), "Tech.PDRAM is NaN") {
-		t.Fatalf("want named tech field, got %v", err)
-	}
-
-	rep = sampleReport()
-	rep.Total.EDRAM = math.NaN()
-	if _, err := EncodeReport(rep); err == nil || !strings.Contains(err.Error(), "Total.EDRAM is NaN") {
-		t.Fatalf("want named total field, got %v", err)
-	}
-
-	if _, err := EncodeResult(sampleResult(2)); err != nil {
-		t.Fatalf("finite result must still encode: %v", err)
-	}
-	if _, err := EncodeReport(sampleReport()); err != nil {
-		t.Fatalf("finite report must still encode: %v", err)
-	}
-}
-
 // TestDecodeRejectsNonFinite: strict decoding refuses values that would
-// materialize as non-finite floats (JSON itself cannot spell NaN/Inf, but
-// out-of-range literals and any future lenient parser path must not slip
-// through the explicit post-decode check).
+// materialize as non-finite floats, and Tech.CheckFinite names the field
+// that a caller-built value got wrong.
 func TestDecodeRejectsNonFinite(t *testing.T) {
-	if _, err := DecodeResult([]byte(`{"Cycles":1,"EPE":1e999,"EGLB":0,"EDRAM":0,"EStatic":0,"DRAMBytes":0,"GLBBytes":0,"OpsAcc":0,"OpsMul":0,"OpsAnd":0}`)); err == nil {
+	var r Result
+	if err := DecodeStrict([]byte(`{"Cycles":1,"EPE":1e999,"EGLB":0,"EDRAM":0,"EStatic":0,"DRAMBytes":0,"GLBBytes":0,"OpsAcc":0,"OpsMul":0,"OpsAnd":0}`), &r); err == nil {
 		t.Fatal("out-of-range literal must not decode")
 	}
-	// The explicit guard, unit-level.
-	r := sampleResult(1)
-	r.EPE = math.Inf(1)
-	if err := r.CheckFinite("Result"); err == nil || !strings.Contains(err.Error(), "Result.EPE is +Inf") {
-		t.Fatalf("CheckFinite: %v", err)
-	}
-	if err := sampleResult(1).CheckFinite("Result"); err != nil {
+	tech := Default28nm()
+	if err := tech.CheckFinite("Tech"); err != nil {
 		t.Fatalf("finite CheckFinite: %v", err)
 	}
-	rep := sampleReport()
-	rep.Layers[1].Sparse.EPE = math.NaN()
-	if err := rep.CheckFinite(); err == nil || !strings.Contains(err.Error(), "Layers[1](blk0.attn).Sparse.EPE is NaN") {
-		t.Fatalf("report CheckFinite: %v", err)
+	tech.PDRAM = math.NaN()
+	if err := tech.CheckFinite("Tech"); err == nil || !strings.Contains(err.Error(), "Tech.PDRAM is NaN") {
+		t.Fatalf("CheckFinite: %v", err)
+	}
+	tech.PDRAM, tech.EAnd = 0, math.Inf(-1)
+	if err := tech.CheckFinite("Options.Tech"); err == nil || !strings.Contains(err.Error(), "Options.Tech.EAnd is -Inf") {
+		t.Fatalf("CheckFinite: %v", err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package lint is the repo's custom static-analysis suite. It mechanically
 // enforces the conventions every durable artifact in this codebase depends
 // on — deterministic digest inputs, strict unknown-field-rejecting JSON
-// codecs, atomic temp-file+rename publication, fsync-before-rename
-// durability, and checked Close/Sync/Flush errors on durable writers —
+// codecs, file writes confined to the durable package (whose renames
+// follow an fsync), and checked Close/Sync/Flush errors on durable writers —
 // so that "shard union == unsharded run, bit for bit" is guarded by a CI
 // gate instead of reviewer memory.
 //
@@ -60,8 +60,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		StrictJSON,
-		AtomicPublish,
-		FsyncBeforeRename,
+		DurableWrites,
 		ClosedErrors,
 	}
 }

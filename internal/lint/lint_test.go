@@ -102,12 +102,12 @@ func TestStrictJSONGolden(t *testing.T) {
 	runGolden(t, StrictJSON, "strictjson", "internal/hw")
 }
 
-func TestAtomicPublishGolden(t *testing.T) {
-	runGolden(t, AtomicPublish, "atomicpublish", "internal/serve")
+func TestDurableWritesGolden(t *testing.T) {
+	runGolden(t, DurableWrites, "durablewrites", "internal/fleet")
 }
 
-func TestFsyncBeforeRenameGolden(t *testing.T) {
-	runGolden(t, FsyncBeforeRename, "fsyncrename", "internal/tracefile")
+func TestDurableSyncBeforeRenameGolden(t *testing.T) {
+	runGolden(t, DurableWrites, "durablesync", "internal/durable")
 }
 
 func TestClosedErrorsGolden(t *testing.T) {
@@ -194,6 +194,8 @@ func TestScopeMatching(t *testing.T) {
 		{"internal/baseline/ptb", wireScope, true},
 		{"cmd/dse", durableScope, true},
 		{"cmd/bishop", durableScope, false},
+		{"examples/quickstart", DurableWrites.Scope, true},
+		{"perfbench", DurableWrites.Scope, false},
 		{"anything/at/all", nil, true},
 	}
 	for _, c := range cases {

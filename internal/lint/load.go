@@ -44,11 +44,6 @@ type Module struct {
 
 	writerOnce sync.Once
 	writerIfc  *types.Interface
-
-	syncOnce  sync.Once
-	syncReach map[funcKey]bool
-	funcIndex map[funcKey]*indexedFunc
-	methods   map[string][]funcKey
 }
 
 // skipDir reports whether a directory is excluded from package discovery:

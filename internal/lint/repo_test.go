@@ -10,7 +10,7 @@ import (
 // TestRepoIsLintClean is the gate the whole suite exists for: the real
 // repository must type-check and lint clean — every deliberate exception
 // carries a validated //lint:ignore, so a stray time.Now, lenient decode,
-// in-place store write, unsynced rename, or dropped Close fails CI here
+// file write outside internal/durable, or dropped Close fails CI here
 // and in `make lint`. Loading from "." also pins nested module discovery
 // (the walker finds go.mod at the repo root) and the walker's exclusion of
 // the fixture trees under internal/lint/testdata.
@@ -63,7 +63,8 @@ func containsSegment(rel, seg string) bool {
 // TestLoadSkipsTestdataVendorAndHidden pins the walker's exclusion rules:
 // fixture trees under testdata/, vendored code, and dot- or underscore-
 // prefixed directories are never discovered, parsed, or linted — seeded
-// violations inside them must not surface.
+// violations inside them must not surface, while the same violation in a
+// discovered package does.
 func TestLoadSkipsTestdataVendorAndHidden(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, content string) {
@@ -76,8 +77,8 @@ func TestLoadSkipsTestdataVendorAndHidden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// An fsync-before-rename violation: the one module-wide check, so it
-	// would fire regardless of package path if these trees were linted.
+	// A durable-writes violation, seeded under internal/ where that check
+	// would fire if these trees were linted.
 	violation := `package bad
 
 import "os"
@@ -87,26 +88,29 @@ func publish(tmp, final string) error {
 }
 `
 	write("go.mod", "module tmpmod\n\ngo 1.24\n")
-	write("pkg/clean.go", "package pkg\n\nfunc OK() int { return 1 }\n")
-	write("testdata/bad/bad.go", violation)
-	write("pkg/testdata/bad/bad.go", violation)
-	write("vendor/dep/bad.go", violation)
-	write(".hidden/bad.go", violation)
-	write("_obj/bad.go", violation)
+	write("internal/pkg/clean.go", "package pkg\n\nfunc OK() int { return 1 }\n")
+	write("internal/seen/bad.go", violation)
+	write("internal/testdata/bad/bad.go", violation)
+	write("internal/pkg/testdata/bad/bad.go", violation)
+	write("internal/vendor/dep/bad.go", violation)
+	write("internal/.hidden/bad.go", violation)
+	write("internal/_obj/bad.go", violation)
+	write("vendor/internal/dep/bad.go", violation)
 
 	m, err := Load(root)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if len(m.Packages) != 1 || m.Packages[0].RelPath != "pkg" {
-		var got []string
-		for _, p := range m.Packages {
-			got = append(got, p.RelPath)
-		}
-		t.Fatalf("discovered packages %v, want exactly [pkg]", got)
+	var got []string
+	for _, p := range m.Packages {
+		got = append(got, p.RelPath)
 	}
-	if diags := m.Lint(); len(diags) != 0 {
-		t.Fatalf("lint of skipped trees produced diagnostics: %v", diags)
+	if strings.Join(got, " ") != "internal/pkg internal/seen" {
+		t.Fatalf("discovered packages %v, want exactly [internal/pkg internal/seen]", got)
+	}
+	diags := m.Lint()
+	if len(diags) != 1 || diags[0].File != "internal/seen/bad.go" || diags[0].Check != DurableWrites.Name {
+		t.Fatalf("lint produced %v, want one durable-writes finding in internal/seen/bad.go", diags)
 	}
 	if len(m.TypeErrors) > 0 {
 		t.Fatalf("type errors: %v", m.TypeErrors)

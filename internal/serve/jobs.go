@@ -55,17 +55,18 @@ type JobStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Job is one submitted sweep or search: a spec, its digest-derived
-// identity, and the growing record log that streams and frontiers read
-// from. A search job streams every rung's records — low-fidelity proxies
-// included, distinguishable by their fidelity tag — through the same log.
+// Job is one submitted sweep or search: its digest-derived identity, the
+// run that evaluates its spec, and the growing record log that streams and
+// frontiers read from. A search job streams every rung's records —
+// low-fidelity proxies included, distinguishable by their fidelity tag —
+// through the same log.
 type Job struct {
-	ID   string
-	Spec dse.SweepSpec
-
-	// search, when non-nil, marks a successive-halving job (Spec is then the
-	// zero value; the search document is the sole source of truth).
-	search *dse.SearchSpec
+	ID string
+	// kind is the status document's Kind: "search" for a successive-halving
+	// job, "" for a sweep.
+	kind string
+	// run evaluates the job's spec, reporting records through opts.OnRecord.
+	run func(ctx context.Context, opts RunOptions) (*RunResult, error)
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -132,10 +133,7 @@ func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{ID: j.ID, State: j.state, Points: j.points,
-		Records: len(j.recs), Evaluated: j.evaluated, CacheHits: j.cacheHits, Runs: j.runs}
-	if j.search != nil {
-		st.Kind = "search"
-	}
+		Records: len(j.recs), Evaluated: j.evaluated, CacheHits: j.cacheHits, Runs: j.runs, Kind: j.kind}
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
@@ -277,7 +275,13 @@ func (m *Manager) Submit(spec dse.SweepSpec) (j *Job, created bool, err error) {
 	if m.cfg.Jobs > 0 && spec.Jobs <= 0 {
 		spec.Jobs = m.cfg.Jobs
 	}
-	return m.admit(spec.ID(), len(spec.Points()), spec, nil)
+	run := m.cfg.RunFunc
+	if run == nil {
+		run = Run
+	}
+	return m.admit(spec.ID(), len(spec.Points()), "", func(ctx context.Context, opts RunOptions) (*RunResult, error) {
+		return run(ctx, spec, opts)
+	})
 }
 
 // SubmitSearch admits a successive-halving search under the same admission
@@ -292,11 +296,13 @@ func (m *Manager) SubmitSearch(spec dse.SearchSpec) (j *Job, created bool, err e
 	if m.cfg.Jobs > 0 && spec.Jobs <= 0 {
 		spec.Jobs = m.cfg.Jobs
 	}
-	return m.admit(spec.ID(), len(spec.Points()), dse.SweepSpec{}, &spec)
+	return m.admit(spec.ID(), len(spec.Points()), "search", func(ctx context.Context, opts RunOptions) (*RunResult, error) {
+		return RunSearch(ctx, spec, opts)
+	})
 }
 
 // admit is the shared admission path behind Submit and SubmitSearch.
-func (m *Manager) admit(id string, points int, spec dse.SweepSpec, search *dse.SearchSpec) (j *Job, created bool, err error) {
+func (m *Manager) admit(id string, points int, kind string, run func(context.Context, RunOptions) (*RunResult, error)) (j *Job, created bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -318,7 +324,7 @@ func (m *Manager) admit(id string, points int, spec dse.SweepSpec, search *dse.S
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	j = &Job{
-		ID: id, Spec: spec, search: search, ctx: ctx, cancel: cancel, runs: runs,
+		ID: id, kind: kind, run: run, ctx: ctx, cancel: cancel, runs: runs,
 		state: StateQueued, points: points,
 		seen: map[string]bool{}, changed: make(chan struct{}),
 	}
@@ -348,17 +354,7 @@ func (m *Manager) runJob(j *Job) {
 	j.setState(StateRunning)
 	//lint:ignore determinism job wall-clock telemetry feeding Retry-After backlog estimates; never reaches records or digests
 	start := time.Now()
-	var res *RunResult
-	var err error
-	if j.search != nil {
-		res, err = RunSearch(j.ctx, *j.search, RunOptions{Cache: m.cfg.Cache, OnRecord: j.addRecord})
-	} else {
-		run := m.cfg.RunFunc
-		if run == nil {
-			run = Run
-		}
-		res, err = run(j.ctx, j.Spec, RunOptions{Cache: m.cfg.Cache, OnRecord: j.addRecord})
-	}
+	res, err := j.run(j.ctx, RunOptions{Cache: m.cfg.Cache, OnRecord: j.addRecord})
 	if err == nil {
 		//lint:ignore determinism job wall-clock telemetry feeding Retry-After backlog estimates; never reaches records or digests
 		m.noteCompleted(time.Since(start))

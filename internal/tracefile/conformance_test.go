@@ -2,12 +2,12 @@ package tracefile_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/accel"
-	"repro/internal/hw"
 	"repro/internal/tracefile"
 	"repro/internal/transformer"
 	"repro/internal/workload"
@@ -42,11 +42,11 @@ func TestRoundTripTable2Grid(t *testing.T) {
 				if !reflect.DeepEqual(want, have) {
 					t.Fatal("simulation reports differ between original and round-tripped trace")
 				}
-				wj, err := hw.EncodeReport(want)
+				wj, err := json.Marshal(want)
 				if err != nil {
 					t.Fatal(err)
 				}
-				hj, err := hw.EncodeReport(have)
+				hj, err := json.Marshal(have)
 				if err != nil {
 					t.Fatal(err)
 				}
