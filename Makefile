@@ -14,13 +14,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Full suite twice under the race detector: once with the default SIMD
-# kernel dispatch and once with BISHOP_NOSIMD=1 forcing the portable Go
-# kernels, so both halves of every dispatched code path stay race-free and
-# bit-identical in CI.
+# Full suite under the race detector.
 race:
 	$(GO) test -race ./...
-	BISHOP_NOSIMD=1 $(GO) test -race ./...
 
 # One iteration per benchmark: regenerates every paper artifact once. Use
 # `$(GO) test -bench=. -benchmem` for real measurements.
@@ -44,7 +40,7 @@ bench-json:
 	@echo "wrote $(BENCH_OUT)"
 
 # Benchmark-regression gate (cmd/benchdiff): an interleaved A/B of the
-# hot-path benchmarks — SIMD kernel dispatch, TTB tagging, spike-driven GEMM,
+# hot-path benchmarks — the popcount kernel, TTB tagging, spike-driven GEMM,
 # steady-state simulator, the 12-point sweep grid — between the commit
 # BENCH_BASE (a git ref; CI passes HEAD^1) and the working tree. The base is
 # extracted with `git archive` into a temp directory outside the module, and
@@ -57,11 +53,11 @@ bench-json:
 # when its minimum allocs/op grew by a whole allocation. The streams land
 # in .bench-gate/ for inspection. There is no committed baseline to refresh.
 # The round count must equal benchcmp.Rounds (benchdiff rejects any other).
-# 100ms samples keep the ~250ns kernels far above the timer's noise floor
+# 100ms samples keep the microsecond popcount kernel far above the timer's noise floor
 # while the multi-ms simulator and sweep benchmarks still finish promptly.
 BENCH_BASE ?= HEAD
 BENCH_GATE_PKGS = spike bundle snn accel dse
-BENCH_GATE_RUN = -test.run='^$$' -test.bench='Kernel|Dispatched|Retag|LinearForwardSpikes|SimulatorSteadyState|SweepGrid' \
+BENCH_GATE_RUN = -test.run='^$$' -test.bench='Kernel|Retag|LinearForwardSpikes|SimulatorSteadyState|SweepGrid' \
 	-test.count=1 -test.benchtime=100ms -test.benchmem -test.timeout=2m
 bench-gate:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -97,16 +93,11 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The SIMD kernel dispatch layer (internal/cpuid, internal/spike's
-# kernels_*.go/.s) is the one build-gated production path: its stubs and
-# assembly only compile on their GOARCH. The second pass cross-vets the
-# arm64 variant from any host (asmdecl checks the NEON stubs' frame
-# offsets), so linux/amd64 CI still vets every line. No other production
-# path is //go:build-tagged; if build tags ever gate another path, add a
-# `$(GO) vet -tags <tag> ./...` pass here too.
+# No production path is //go:build-tagged or written in assembly, so one
+# host vet covers every line. If build tags ever gate a path, add a
+# `$(GO) vet -tags <tag> ./...` (or GOARCH=...) pass here too.
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./...
 
 # The repo's own static-analysis suite (internal/lint via cmd/bishoplint):
 # determinism, strict-json, durable-writes (only internal/durable writes

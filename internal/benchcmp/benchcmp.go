@@ -1,6 +1,6 @@
 // Package benchcmp compares two interleaved benchmark runs — the library
-// behind cmd/benchdiff, the CI gate that keeps the SIMD/zero-alloc hot path
-// from quietly rotting.
+// behind cmd/benchdiff, the CI gate that keeps the popcount kernel and the
+// other zero-alloc hot paths from quietly rotting.
 //
 // `make bench-gate` builds the test binaries of a base commit and of the
 // working tree and runs them in alternation, package by package, one sample

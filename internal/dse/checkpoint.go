@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -41,14 +40,9 @@ func OpenCheckpointWriter(path string) (*CheckpointWriter, error) {
 // options document does not decode against its backend is dropped like any
 // other malformed line.
 func parseRecords(data []byte) []Record {
-	if len(data) == 0 {
-		return nil // a new checkpoint: skip the 1 MiB scanner buffer
-	}
 	var recs []Record
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		if r, ok := ParseRecordLine(sc.Bytes()); ok {
+	for line := range bytes.Lines(data) {
+		if r, ok := ParseRecordLine(bytes.TrimRight(line, "\r\n")); ok {
 			recs = append(recs, r)
 		}
 	}

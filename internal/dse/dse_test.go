@@ -1,10 +1,12 @@
 package dse
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -254,6 +256,39 @@ func TestSweepDedupesDuplicatePoints(t *testing.T) {
 func TestSweepRejectsBadShard(t *testing.T) {
 	if _, err := Sweep(context.Background(), nil, Config{Shard: 2, Shards: 2}); err == nil {
 		t.Fatal("out-of-range shard must fail")
+	}
+}
+
+// TestCheckpointSkipsOverlongLine pins that one malformed line of any
+// length costs only itself: the records on both sides of a 17 MiB junk line
+// still load.
+func TestCheckpointSkipsOverlongLine(t *testing.T) {
+	points := testSpace().Grid()[:2]
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.jsonl")
+	if _, err := Sweep(context.Background(), points, Config{Seed: 1, Checkpoint: clean}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second, ok := bytes.Cut(data, []byte("\n"))
+	if !ok || len(second) == 0 {
+		t.Fatalf("clean checkpoint is not two lines: %q", data)
+	}
+	junk := bytes.Repeat([]byte("x"), 17<<20)
+	ckpt := filepath.Join(dir, "overlong.jsonl")
+	withJunk := slices.Concat(first, []byte("\n"), junk, []byte("\n"), second)
+	if err := os.WriteFile(ckpt, withJunk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := LoadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("loaded %d records around an overlong line, want 2", len(recs))
 	}
 }
 

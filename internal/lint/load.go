@@ -47,14 +47,19 @@ type Module struct {
 }
 
 // skipDir reports whether a directory is excluded from package discovery:
-// testdata trees (analyzer fixtures), vendored code, and hidden or
-// underscore-prefixed directories (.git, .bench-gate, _obj), matching the go
-// tool's own ignore rules.
-func skipDir(name string) bool {
+// testdata trees (analyzer fixtures), vendored code, hidden or
+// underscore-prefixed directories (.git, .bench-gate, _obj), and the root of
+// a nested module (a directory with its own go.mod, such as perfbench/),
+// matching the go tool's own rules for ./... patterns.
+func skipDir(path, name string) bool {
 	if name == "testdata" || name == "vendor" || name == "node_modules" {
 		return true
 	}
-	return strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
+	if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		return true
+	}
+	_, err := os.Stat(filepath.Join(path, "go.mod"))
+	return err == nil
 }
 
 // Load discovers, parses, and type-checks every non-test package under the
@@ -79,7 +84,7 @@ func Load(dir string) (*Module, error) {
 		if !d.IsDir() {
 			return nil
 		}
-		if path != root && skipDir(d.Name()) {
+		if path != root && skipDir(path, d.Name()) {
 			return filepath.SkipDir
 		}
 		dirs = append(dirs, path)
@@ -164,9 +169,9 @@ var buildCtx = build.Default
 // loadDir parses and type-checks the package in one directory, returning
 // nil when the directory holds no non-test Go files.
 //
-// Files excluded by build constraints are skipped entirely. Assembly-backed
-// packages carry one variant of the same declarations per architecture
-// (e.g. a cpuid detect() for amd64, arm64, and a portable fallback);
+// Files excluded by build constraints are skipped entirely. A package may
+// carry one variant of the same declaration per architecture or build tag
+// (say, an assembly stub for amd64 and arm64 plus a portable fallback);
 // admitting every variant would produce phantom redeclaration errors the
 // compiler never sees. The cost is that lint only checks the host's build —
 // the same trade the go tool makes.

@@ -13,7 +13,8 @@ import (
 // file write outside internal/durable, or dropped Close fails CI here
 // and in `make lint`. Loading from "." also pins nested module discovery
 // (the walker finds go.mod at the repo root) and the walker's exclusion of
-// the fixture trees under internal/lint/testdata.
+// the fixture trees under internal/lint/testdata and of the separate
+// perfbench module.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-module lint in -short mode")
@@ -32,6 +33,9 @@ func TestRepoIsLintClean(t *testing.T) {
 	for _, p := range m.Packages {
 		if p.RelPath == "internal/lint" {
 			foundSelf = true
+		}
+		if p.RelPath == "perfbench" || strings.HasPrefix(p.RelPath, "perfbench/") {
+			t.Errorf("walker entered the perfbench module: %s", p.RelPath)
 		}
 		base := filepath.Base(p.RelPath)
 		if p.RelPath != "" && (base == "testdata" || base == "vendor" || filepath.ToSlash(p.RelPath) != p.RelPath) {
@@ -61,10 +65,10 @@ func containsSegment(rel, seg string) bool {
 }
 
 // TestLoadSkipsTestdataVendorAndHidden pins the walker's exclusion rules:
-// fixture trees under testdata/, vendored code, and dot- or underscore-
-// prefixed directories are never discovered, parsed, or linted — seeded
-// violations inside them must not surface, while the same violation in a
-// discovered package does.
+// fixture trees under testdata/, vendored code, dot- or underscore-
+// prefixed directories and nested modules are never discovered, parsed, or
+// linted — seeded violations inside them must not surface, while the same
+// violation in a discovered package does.
 func TestLoadSkipsTestdataVendorAndHidden(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, content string) {
@@ -96,6 +100,8 @@ func publish(tmp, final string) error {
 	write("internal/.hidden/bad.go", violation)
 	write("internal/_obj/bad.go", violation)
 	write("vendor/internal/dep/bad.go", violation)
+	write("internal/nested/go.mod", "module nested\n\ngo 1.24\n")
+	write("internal/nested/internal/bad/bad.go", violation)
 
 	m, err := Load(root)
 	if err != nil {

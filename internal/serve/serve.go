@@ -293,7 +293,7 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request) {
 		seed = 1
 	}
 	p := dse.Point{Model: req.Model, BSA: req.BSA, Backend: b}
-	key := fmt.Sprintf("%016x", p.Digest())
+	key := dse.DigestKey(p)
 
 	cacheState := "off"
 	if c := s.mgr.cfg.Cache; c != nil {

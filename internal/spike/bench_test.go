@@ -102,30 +102,37 @@ func BenchmarkTimeSliceNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkAndCount(b *testing.B) {
-	s := benchTensor()
-	o := randomTensor(tensor.NewRNG(7), benchT, benchN, benchD, 0.12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.AndCount(o)
-	}
+// BenchmarkKernelCount times the popcount loop behind Count on one
+// full-tensor pass (4704 words). `make bench-gate` pairs it with the parent
+// commit under this name.
+func BenchmarkKernelCount(b *testing.B) {
+	words := benchTensor().Words()
+	b.SetBytes(int64(8 * len(words)))
+	b.Run("go", func(b *testing.B) {
+		var sink int
+		for i := 0; i < b.N; i++ {
+			sink += countWords(words)
+		}
+		_ = sink
+	})
 }
 
-func BenchmarkAndCountNaive(b *testing.B) {
-	s := benchTensor()
-	o := randomTensor(tensor.NewRNG(7), benchT, benchN, benchD, 0.12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var c int
-		for t := 0; t < s.T; t++ {
-			for n := 0; n < s.N; n++ {
-				for d := 0; d < s.D; d++ {
-					if s.Get(t, n, d) && o.Get(t, n, d) {
-						c++
-					}
-				}
-			}
-		}
-		_ = c
+// TestStatisticsZeroAlloc pins that the hot spike statistics — the
+// reductions accel simulation calls per layer — stay off the heap,
+// including the RateInto scatter.
+func TestStatisticsZeroAlloc(t *testing.T) {
+	rng := tensor.NewRNG(9)
+	s := randomTensor(rng, benchT, benchN, benchD, 0.12)
+	o := randomTensor(rng, benchT, benchN, benchD, 0.12)
+	rate := make([]float32, benchN*benchD)
+	var sink int
+	if allocs := testing.AllocsPerRun(10, func() {
+		sink += s.Count()
+		sink += s.CountToken(1, 2)
+		sink += s.TokenAndCount(0, 0, o, 1, 1)
+		s.RateInto(rate)
+	}); allocs != 0 {
+		t.Fatalf("spike statistics allocate %.1f objects/run, want 0", allocs)
 	}
+	_ = sink
 }

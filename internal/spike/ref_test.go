@@ -153,7 +153,7 @@ func TestCountBlockMatchesNaive(t *testing.T) {
 }
 
 // Property: the set-bit iterators visit exactly the set bits, in ascending
-// order, and the overlap counts match naive AND/OR loops.
+// order, and the token overlap counts match a naive AND loop.
 func TestIteratorsAndOverlaps(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
@@ -195,19 +195,13 @@ func TestIteratorsAndOverlaps(t *testing.T) {
 		if !ok || total != naiveCount(a) {
 			return false
 		}
-		// AndCount / OrCount / TokenAndCount.
-		var and, or int
+		// TokenAndCount.
 		for tt := 0; tt < T; tt++ {
 			for n := 0; n < N; n++ {
 				var rowAnd int
 				for d := 0; d < D; d++ {
-					av, bv := a.Get(tt, n, d), b.Get(tt, n, d)
-					if av && bv {
-						and++
+					if a.Get(tt, n, d) && b.Get(tt, n, d) {
 						rowAnd++
-					}
-					if av || bv {
-						or++
 					}
 				}
 				if a.TokenAndCount(tt, n, b, tt, n) != rowAnd {
@@ -215,7 +209,7 @@ func TestIteratorsAndOverlaps(t *testing.T) {
 				}
 			}
 		}
-		return a.AndCount(b) == and && a.OrCount(b) == or
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@
 //
 // Layout: each (t, n) token row is padded to a whole number of 64-bit words
 // (wpr = ⌈D/64⌉), so every row starts word-aligned and all aggregate
-// operations (Count*, Rate, TimeSlice, overlap counts) run as masked
+// operations (Count*, Rate, TimeSlice, token overlaps) run as masked
 // popcounts and TrailingZeros64 scans over whole words instead of per-bit
 // Get/Set calls. Padding bits past D are always zero — every mutator
 // maintains that invariant, which is what lets the kernels popcount whole
@@ -249,21 +249,6 @@ func (s *Tensor) ForEachSet(fn func(t, n, d int)) {
 	}
 }
 
-// AndCount returns the number of positions where both tensors spike — the
-// overlap statistic behind integer attention scores (S = Q·Kᵀ on binary
-// data is exactly a windowed AndCount). Shapes must match.
-func (s *Tensor) AndCount(o *Tensor) int {
-	s.mustSameShape(o)
-	return andCountWords(s.words, o.words)
-}
-
-// OrCount returns the number of positions where either tensor spikes.
-// Shapes must match.
-func (s *Tensor) OrCount(o *Tensor) int {
-	s.mustSameShape(o)
-	return orCountWords(s.words, o.words)
-}
-
 // TokenAndCount returns the overlap between token row (t, n) of s and token
 // row (ot, on) of o — the integer attention score Σ_d s∧o of Eq. 6. The
 // feature widths must match.
@@ -276,12 +261,6 @@ func (s *Tensor) TokenAndCount(t, n int, o *Tensor, ot, on int) int {
 	a := s.words[s.rowStart(t, n):][:s.wpr]
 	b := o.words[o.rowStart(ot, on):][:s.wpr]
 	return andCountWords(a, b)
-}
-
-func (s *Tensor) mustSameShape(o *Tensor) {
-	if s.T != o.T || s.N != o.N || s.D != o.D {
-		panic(fmt.Sprintf("spike: shape %dx%dx%d vs %dx%dx%d", s.T, s.N, s.D, o.T, o.N, o.D))
-	}
 }
 
 // TimeSlice copies the spikes at time t into dst as a float N×D matrix
@@ -345,9 +324,7 @@ func (s *Tensor) Rate() []float32 {
 
 // RateInto writes the mean firing rate per (token, feature) pair into dst,
 // which must have length N·D, and returns it. It is the zero-alloc form of
-// Rate for callers that hold a reusable buffer. Rate is a scatter, not a
-// popcount, so it stays on the TrailingZeros64 scan regardless of the
-// dispatched kernel set.
+// Rate for callers that hold a reusable buffer.
 func (s *Tensor) RateInto(dst []float32) []float32 {
 	if len(dst) != s.N*s.D {
 		panic(fmt.Sprintf("spike: RateInto dst len %d want %d", len(dst), s.N*s.D))
@@ -392,4 +369,24 @@ func (s *Tensor) Equal(o *Tensor) bool {
 func (s *Tensor) String() string {
 	return fmt.Sprintf("spike.Tensor{T:%d N:%d D:%d spikes:%d density:%.3f}",
 		s.T, s.N, s.D, s.Count(), s.Density())
+}
+
+// countWords returns Σ popcount(p[i]). The compiler lowers bits.OnesCount64
+// to one instruction where the ISA has one.
+func countWords(p []uint64) int {
+	var c int
+	for _, w := range p {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// andCountWords returns Σ popcount(a[i] & b[i]); len(b) must be ≥ len(a).
+func andCountWords(a, b []uint64) int {
+	b = b[:len(a)]
+	var c int
+	for i, w := range a {
+		c += bits.OnesCount64(w & b[i])
+	}
+	return c
 }
