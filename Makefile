@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-gate perfbench-check fmt fmt-check vet lint ci
+.PHONY: build test race bench bench-gate perfbench-check fmt fmt-check vet lint ci
 
 build:
 	$(GO) build ./...
@@ -22,22 +22,6 @@ race:
 # `$(GO) test -bench=. -benchmem` for real measurements.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-
-# Machine-readable benchmark output (test2json event stream, one JSON object
-# per line) for trajectory tracking: compare BENCH_*.json files across
-# commits with any JSON tooling. BENCH_OUT overrides the output path.
-BENCH_OUT ?= BENCH_$(shell git rev-parse --short HEAD 2>/dev/null || echo local).json
-# The stream is written to a temp file and renamed into place only on
-# success, so a failed or interrupted run never leaves a torn $(BENCH_OUT)
-# behind for trajectory tooling to trip over. On failure the tail of the
-# stream (which contains the FAIL events and panic traces) is echoed so the
-# cause is visible in the CI log.
-bench-json:
-	@$(GO) test -json -run='^$$' -bench=. -benchtime=1x ./... > $(BENCH_OUT).tmp || \
-		{ echo "bench-json failed; last events:" >&2; tail -60 $(BENCH_OUT).tmp >&2; \
-		  rm -f $(BENCH_OUT).tmp; exit 1; }
-	@mv $(BENCH_OUT).tmp $(BENCH_OUT)
-	@echo "wrote $(BENCH_OUT)"
 
 # Benchmark-regression gate (cmd/benchdiff): an interleaved A/B of the
 # hot-path benchmarks — the popcount kernel, TTB tagging, spike-driven GEMM,
@@ -108,4 +92,4 @@ vet:
 lint:
 	$(GO) run ./cmd/bishoplint ./...
 
-ci: build fmt-check vet race bench-json bench-gate lint perfbench-check
+ci: build fmt-check vet race bench bench-gate lint perfbench-check

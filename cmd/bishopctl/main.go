@@ -12,10 +12,11 @@
 //
 // The search verb runs a saved successive-halving search spec (as written
 // by dse -print-spec in search mode) the same way: every rung of the
-// fidelity ladder is a fleet run of that rung's sweep, checkpointed to
-// <checkpoint>.r<divisor> per rung, and promotion happens on the
-// coordinator. A coordinator killed at any rung resumes from the rung
-// checkpoints with zero re-evaluation.
+// fidelity ladder is a fleet run of that rung's sweep, all rungs share the
+// one checkpoint (records are fidelity-tagged, exactly as in
+// `dse -search ... -checkpoint out.jsonl`), and promotion happens on the
+// coordinator. A coordinator killed at any rung resumes from the
+// checkpoint with zero re-evaluation.
 //
 // Usage:
 //
@@ -63,7 +64,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("bishopctl "+verb, flag.ContinueOnError)
 	specPath := fs.String("spec", "", "saved spec (JSON, as written by dse -print-spec)")
 	workers := fs.String("workers", "", "comma-separated bishopd workers (host:port or http:// URLs)")
-	checkpoint := fs.String("checkpoint", "", "durable merged JSONL checkpoint (resumable; search appends .r<divisor> per rung)")
+	checkpoint := fs.String("checkpoint", "", "durable merged JSONL checkpoint (resumable; shared by every search rung)")
 	shards := fs.Int("shards", 0, "shard count (0 = one per worker)")
 	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "silence budget per leased shard before it is re-leased")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request timeout against workers")

@@ -48,7 +48,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -323,28 +322,14 @@ func writeOutputs(stdout io.Writer, front, recs []dse.Record, frontier, records,
 		fmt.Fprintf(stdout, "\nwrote %s (%d frontier points)\n", frontier, len(front))
 	}
 	if records != "" {
-		if err := writeRecords(records, recs); err != nil {
+		if err := durable.WriteFile(records, func(w *bufio.Writer) error {
+			return dse.WriteRecords(w, recs)
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "\nwrote %s (%d %s)\n", records, len(recs), noun)
 	}
 	return nil
-}
-
-// writeRecords dumps the merged record set as JSONL — the same line format
-// the checkpoint and the daemon's record stream use.
-func writeRecords(path string, recs []dse.Record) error {
-	return durable.WriteFile(path, func(w *bufio.Writer) error {
-		for _, r := range recs {
-			line, err := json.Marshal(r)
-			if err != nil {
-				return err
-			}
-			w.Write(line)
-			w.WriteByte('\n')
-		}
-		return nil
-	})
 }
 
 func parseSpace(models, bsa, shapes, thetas, splits, stratify, ecp string) (dse.Space, error) {

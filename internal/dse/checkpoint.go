@@ -2,7 +2,6 @@ package dse
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -52,15 +51,15 @@ func parseRecords(data []byte) []Record {
 // Records returns the records recovered at open time.
 func (c *CheckpointWriter) Records() []Record { return c.recs }
 
-// Append marshals one record as a JSON line and fsyncs it before
-// returning, making the record durable against a process kill. The caller
-// serializes Append/AppendLine calls.
+// Append encodes one record line and fsyncs it before returning, making
+// the record durable against a process kill. The caller serializes
+// Append/AppendLine calls.
 func (c *CheckpointWriter) Append(rec Record) error {
-	data, err := json.Marshal(rec)
+	line, err := AppendRecordLine(nil, rec)
 	if err != nil {
-		return fmt.Errorf("dse: marshal record: %w", err)
+		return err
 	}
-	return c.AppendLine(data)
+	return c.AppendLine(line[:len(line)-1])
 }
 
 // AppendLine durably appends one checkpoint-format line verbatim (no

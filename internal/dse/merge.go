@@ -1,18 +1,55 @@
 package dse
 
-import "repro/internal/hw"
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
 
-// This file is the merge/dedup surface the fleet coordinator builds on: a
-// strict single-line record parser (whose lines CheckpointWriter.AppendLine
-// appends verbatim, so the merged file is byte-identical to one a local
-// sweep would write) and a seed-scoped digest deduper that absorbs the
-// overlap re-leased shards inevitably re-deliver.
+	"repro/internal/hw"
+)
 
-// ParseRecordLine decodes one checkpoint-format line into a validated
-// Record. It applies exactly the per-line discipline checkpoint loading
-// uses — strict JSON (unknown fields reject), self-consistency check,
-// canonical bishop spelling — so a stream of lines fed through it recovers
-// the same records a checkpoint load of those lines would.
+// This file is the record-line codec and the merge/dedup surface the fleet
+// coordinator builds on. Every record line — checkpoint, result cache,
+// NDJSON stream, evaluate body, -records dump — is encoded by
+// AppendRecordLine and decoded by ParseRecordLine, so a line parsed from
+// any of them and appended verbatim (CheckpointWriter.AppendLine) keeps the
+// merged file byte-identical to one a local sweep would write. The
+// seed-scoped digest deduper absorbs the overlap re-leased shards
+// inevitably re-deliver.
+
+// AppendRecordLine appends the record line of rec — its JSON encoding and a
+// closing newline — to dst and returns the extended buffer.
+func AppendRecordLine(dst []byte, rec Record) ([]byte, error) {
+	b := bytes.NewBuffer(dst)
+	// Encode writes exactly json.Marshal's bytes plus '\n', in one write.
+	if err := json.NewEncoder(b).Encode(rec); err != nil {
+		return dst, fmt.Errorf("dse: encode record: %w", err)
+	}
+	return b.Bytes(), nil
+}
+
+// WriteRecords writes recs to w as record lines, in order.
+func WriteRecords(w *bufio.Writer, recs []Record) error {
+	var line []byte
+	for _, rec := range recs {
+		var err error
+		if line, err = AppendRecordLine(line[:0], rec); err != nil {
+			return err
+		}
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ParseRecordLine decodes one record line into a validated Record. It
+// applies exactly the per-line discipline checkpoint loading uses — strict
+// JSON (unknown fields reject), self-consistency check, canonical bishop
+// spelling — so a stream of lines fed through it recovers the same records
+// a checkpoint load of those lines would. Surrounding whitespace, such as
+// the closing newline AppendRecordLine writes, is accepted.
 func ParseRecordLine(line []byte) (Record, bool) {
 	if len(line) == 0 {
 		return Record{}, false

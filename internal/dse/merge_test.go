@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/backend"
 	"repro/internal/bundle"
 )
 
@@ -27,15 +28,23 @@ func mergeTestPoints(t *testing.T) []Point {
 	return pts
 }
 
-// TestParseRecordLine pins the strict per-line discipline: a marshaled
-// record round-trips, and malformed / unknown-field / inconsistent lines are
-// rejected rather than half-read.
+// TestParseRecordLine pins the strict per-line discipline: a record line is
+// the record's json.Marshal bytes plus a newline, it round-trips with or
+// without that newline, and malformed / unknown-field / inconsistent lines
+// are rejected rather than half-read.
 func TestParseRecordLine(t *testing.T) {
 	pts := mergeTestPoints(t)
 	rec := Evaluate(pts[0], 1)
 	line, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	enc, err := AppendRecordLine([]byte("x"), rec)
+	if err != nil || string(enc) != "x"+string(line)+"\n" {
+		t.Fatalf("AppendRecordLine = %q, %v; want the marshaled record and a newline after dst", enc, err)
+	}
+	if _, ok := ParseRecordLine(enc[1:]); !ok {
+		t.Fatal("newline-terminated line rejected")
 	}
 	got, ok := ParseRecordLine(line)
 	if !ok {
@@ -328,4 +337,97 @@ func TestShardedSampledCheckpointsMatchUnsharded(t *testing.T) {
 		t.Fatalf("shard checkpoints hold %d lines, unsharded %d:\n%s\nwant\n%s",
 			len(got), len(want), strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
+}
+
+// FuzzParseRecordLine checks the record-line codec on arbitrary input,
+// read as a checkpoint file. The seeds are the golden legacy checkpoint
+// (whole, line by line, and torn mid-line) and a record line of every
+// backend at a low fidelity. For any input:
+//   - ParseRecordLine never panics;
+//   - a line it accepts re-encodes through AppendRecordLine to a line that
+//     parses back to a record with the same digest and the same encoding;
+//   - when every line is an accepted, newline-terminated record (a valid
+//     checkpoint), LoadCheckpoint of the input cut at every byte offset
+//     keeps the record of every line complete before the cut, plus at most
+//     the next one (a cut that drops only the line's closing bytes).
+func FuzzParseRecordLine(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "legacy_checkpoint.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for line := range bytes.Lines(golden) {
+		f.Add(line)
+		f.Add(line[:len(line)/2])
+	}
+	for _, name := range backend.Names() {
+		b, err := backend.Default(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		line, err := AppendRecordLine(nil, EvaluateAt(Point{Model: 1, Backend: b}, 1, 4))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// recs[k] is the record of line k; ends[k] the offset past it.
+		var recs []Record
+		var ends []int
+		valid := len(data) > 0 && data[len(data)-1] == '\n'
+		off := 0
+		for line := range bytes.Lines(data) {
+			off += len(line)
+			rec, ok := ParseRecordLine(bytes.TrimRight(line, "\r\n"))
+			if !ok {
+				valid = false
+				continue
+			}
+			enc, err := AppendRecordLine(nil, rec)
+			if err != nil {
+				t.Fatalf("accepted record does not encode: %v", err)
+			}
+			back, ok := ParseRecordLine(enc)
+			if !ok {
+				t.Fatalf("re-encoded line rejected: %s", enc)
+			}
+			again, err := AppendRecordLine(nil, back)
+			if err != nil || back.Digest != rec.Digest || !bytes.Equal(again, enc) {
+				t.Fatalf("re-encoded line does not round-trip:\n%s%s", enc, again)
+			}
+			recs = append(recs, rec)
+			ends = append(ends, off)
+		}
+		if !valid {
+			return
+		}
+
+		path := filepath.Join(t.TempDir(), "ck.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		complete := len(ends)
+		for cut := len(data); cut >= 0; cut-- {
+			if err := os.Truncate(path, int64(cut)); err != nil {
+				t.Fatal(err)
+			}
+			for complete > 0 && ends[complete-1] > cut {
+				complete--
+			}
+			got, err := LoadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) < complete || len(got) > complete+1 {
+				t.Fatalf("cut at %d of %d: loaded %d records, want %d or %d", cut, len(data), len(got), complete, complete+1)
+			}
+			for k := range got {
+				if !reflect.DeepEqual(got[k], recs[k]) {
+					t.Fatalf("cut at %d of %d: record %d differs from its line", cut, len(data), k)
+				}
+			}
+		}
+	})
 }

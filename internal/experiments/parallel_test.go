@@ -39,31 +39,3 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-func TestRunAllOrderAndContent(t *testing.T) {
-	t.Parallel()
-	ids := []string{"fig17", "table2", "fig3"}
-	tables, err := RunAll(ids, RunOptions{Quick: true, Seed: 1, Jobs: 8})
-	if err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	for i, id := range ids {
-		if tables[i].ID != id {
-			t.Fatalf("slot %d holds %q, want %q (ordering broken)", i, tables[i].ID, id)
-		}
-		direct, err := Run(id, true, 1)
-		if err != nil {
-			t.Fatalf("Run %s: %v", id, err)
-		}
-		if !reflect.DeepEqual(tables[i], direct) {
-			t.Fatalf("%s: RunAll output differs from direct Run", id)
-		}
-	}
-}
-
-func TestRunAllPropagatesError(t *testing.T) {
-	t.Parallel()
-	if _, err := RunAll([]string{"table2", "nope"}, RunOptions{Quick: true, Seed: 1}); err == nil {
-		t.Fatal("unknown id must fail the batch")
-	}
-}

@@ -344,38 +344,29 @@ func (w *Worker) Stream(ctx context.Context, id string, from int, fn func(line [
 		return 0, errPermanent{fmt.Errorf("fleet: stream %s: %s (%s)", w.base, resp.Status, bytes.TrimSpace(msg))}
 	}
 	w.br.success()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	// Strict framing: only newline-terminated lines count. The default
-	// ScanLines would hand back an unterminated tail when a connection is
-	// torn mid-record, silently advancing the caller's resume offset past a
-	// line that never fully arrived.
-	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			return i + 1, data[:i], nil
+	// Strict framing: only newline-terminated lines count. A connection torn
+	// mid-record ends in an unterminated tail, which is dropped rather than
+	// delivered, so the caller's resume offset never advances past a line
+	// that did not fully arrive.
+	br := bufio.NewReader(resp.Body)
+	for {
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			return lines, nil
 		}
-		if atEOF {
-			return len(data), nil, nil // torn tail: consume, emit nothing
+		if err != nil {
+			// Mid-stream death (truncation, reset, worker kill): transient.
+			w.br.failure()
+			return lines, fmt.Errorf("fleet: stream %s: %w", w.base, err)
 		}
-		return 0, nil, nil
-	})
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+		if len(line) == 1 {
 			continue
 		}
-		cp := append([]byte{}, line...)
-		if err := fn(cp); err != nil {
+		if err := fn(line[:len(line)-1]); err != nil {
 			return lines, err
 		}
 		lines++
 	}
-	if err := sc.Err(); err != nil {
-		// Mid-stream death (truncation, reset, worker kill): transient.
-		w.br.failure()
-		return lines, fmt.Errorf("fleet: stream %s: %w", w.base, err)
-	}
-	return lines, nil
 }
 
 // jsonUnmarshal is the one non-strict decode in the stack: status documents

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -27,9 +26,11 @@ type Config struct {
 	Shards int
 	// Checkpoint is the durable merged JSONL file. During the run it is an
 	// arrival-order log (resumable after a coordinator SIGKILL via the
-	// torn-tail-tolerant checkpoint loader); on completion it is compacted
-	// into enumeration order, byte-identical to the checkpoint of an
-	// unsharded, single-evaluator (Jobs: 1) dse.Sweep of the same spec.
+	// torn-tail-tolerant checkpoint loader); on completion the run's units
+	// are compacted into enumeration order after every other record the
+	// file holds (other seeds, fidelities or points, in file order), so a
+	// fresh file ends byte-identical to the checkpoint of an unsharded,
+	// single-evaluator (Jobs: 1) dse.Sweep of the same spec.
 	Checkpoint string
 	// LeaseTTL is how long a leased shard may go without delivering a record
 	// before its holder is declared stalled and the shard re-leased
@@ -70,9 +71,9 @@ type Result struct {
 	// Points is the size of the spec's point set (unique digests may be
 	// fewer when a sampled space repeats coordinates).
 	Points int
-	// Resumed counts records recovered from the checkpoint before any
-	// worker was contacted; Fresh counts records ingested from workers this
-	// run.
+	// Resumed counts records of the spec's units recovered from the
+	// checkpoint before any worker was contacted; Fresh counts records
+	// ingested from workers this run.
 	Resumed, Fresh int
 	// ReLeases counts stalled-lease reaps (shards taken from a silent
 	// holder and re-leased).
@@ -110,7 +111,7 @@ func (c *coordinator) ingest(worker string, line []byte) bool {
 	rec, ok := dse.ParseRecordLine(line)
 	if !ok {
 		// A torn or foreign line (mid-record truncation upstream never
-		// reaches here — the scanner only yields full lines — but a fault
+		// reaches here — Worker.Stream only yields full lines — but a fault
 		// proxy can corrupt a line in flight): drop it; the digest inventory
 		// keeps the shard incomplete until a good copy arrives.
 		return true
@@ -270,7 +271,8 @@ func (c *coordinator) runWorker(ctx context.Context, w *Worker) {
 // Run executes spec across cfg.Workers and returns the merged result. The
 // checkpoint at cfg.Checkpoint is consulted first (a coordinator killed
 // mid-run resumes with zero re-evaluation of merged points) and holds the
-// complete, enumeration-ordered record set on success.
+// complete, enumeration-ordered record set on success, after the records
+// of other runs it already held (see Config.Checkpoint).
 func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Workers) == 0 {
@@ -312,9 +314,18 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		ckpt:     ckpt,
 		byWorker: map[string]int{},
 	}
+	// Only records of this run's units are adopted: the file may also hold
+	// other seeds, fidelities or points (a shared search checkpoint, an
+	// earlier sweep), which compaction keeps but the result set must not
+	// include.
+	units := spec.Config().Units(points)
+	own := make(map[string]bool, len(units))
+	for _, i := range units {
+		own[c.keys[i]] = true
+	}
 	resumed := 0
 	for _, rec := range ckpt.Records() {
-		if c.dedup.Add(rec) {
+		if own[rec.Digest] && c.dedup.Add(rec) {
 			resumed++
 		}
 	}
@@ -386,17 +397,28 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("fleet: %d shards incomplete (all workers exhausted)", n)
 	}
 
-	// The compacted file holds one record per unit of the unsharded sweep,
-	// in unit order: the lines a Jobs: 1 unsharded dse.Sweep appends. No
-	// shard remains, so every unit has its record.
-	units := spec.Config().Units(points)
-	unitRecs := make([]dse.Record, len(units))
-	for k, i := range units {
-		unitRecs[k], _ = c.dedup.Get(c.keys[i])
-		unitRecs[k].Index = i
+	// Compaction atomically replaces the arrival-order merge log. The new
+	// file keeps every record that is not one of this run's units, in file
+	// order, then holds one record per unit of the unsharded sweep, in unit
+	// order: the lines a Jobs: 1 unsharded dse.Sweep appends to the same
+	// file. No shard remains, so every unit has its record. durable.WriteFile
+	// publishes it with one fsync for the whole file; a compaction killed
+	// partway leaves the arrival log intact, and the next run resumes from it.
+	var recs []dse.Record
+	for _, rec := range ckpt.Records() {
+		if rec.Seed != spec.Seed || rec.Fidelity != spec.Fidelity || !own[rec.Digest] {
+			recs = append(recs, rec)
+		}
 	}
-	if err := compactCheckpoint(cfg.Checkpoint, unitRecs); err != nil {
-		return Result{}, err
+	for _, i := range units {
+		rec, _ := c.dedup.Get(c.keys[i])
+		rec.Index = i
+		recs = append(recs, rec)
+	}
+	if err := durable.WriteFile(cfg.Checkpoint, func(w *bufio.Writer) error {
+		return dse.WriteRecords(w, recs)
+	}); err != nil {
+		return Result{}, fmt.Errorf("fleet: compact checkpoint: %w", err)
 	}
 	res := Result{
 		Records:       c.dedup.Ordered(points),
@@ -407,30 +429,6 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		WorkerRecords: c.byWorker,
 	}
 	return res, nil
-}
-
-// compactCheckpoint atomically replaces the arrival-order merge log with the
-// unit-ordered record set — the exact bytes an unsharded, single-evaluator
-// dse.Sweep checkpoint of the same spec holds. It publishes through
-// durable.WriteFile with one fsync for the whole file; a compaction killed
-// partway leaves the arrival log intact, and the next run resumes from it.
-func compactCheckpoint(path string, recs []dse.Record) error {
-	err := durable.WriteFile(path, func(w *bufio.Writer) error {
-		for _, rec := range recs {
-			data, err := json.Marshal(rec)
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(append(data, '\n')); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("fleet: compact checkpoint: %w", err)
-	}
-	return nil
 }
 
 // Workers sorted for deterministic reporting.

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -156,6 +157,90 @@ func TestFleetCompactionIgnoresTornLeftovers(t *testing.T) {
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(tmps) != 0 {
 		t.Fatalf("temp files left behind: %v", tmps)
+	}
+}
+
+// TestFleetCompactionKeepsOtherRecords pins that compaction rewrites only
+// the run's own units: over a checkpoint that already holds another seed's
+// records and records of points outside the spec's Select set, a fleet run
+// keeps every one of them, in file order, ahead of its units — the exact
+// bytes a Jobs: 1 local run of the spec over a copy of that file leaves —
+// and returns only the selected points' records.
+func TestFleetCompactionKeepsOtherRecords(t *testing.T) {
+	spec := fleetSpec()
+	keys := dse.DigestKeys(spec.Points())
+	var sel, rest []string
+	for i, k := range keys {
+		if i%2 == 0 {
+			sel = append(sel, k)
+		} else {
+			rest = append(rest, k)
+		}
+	}
+	dir := t.TempDir()
+	pre := filepath.Join(dir, "pre.jsonl")
+	seed7 := spec
+	seed7.Seed = 7
+	unselected := spec
+	unselected.Select = rest
+	for _, s := range []dse.SweepSpec{seed7, unselected} {
+		s.Checkpoint = pre
+		if _, err := serve.Run(context.Background(), s, serve.RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := os.ReadFile(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(before, []byte("\n")); n != len(keys)+len(rest) {
+		t.Fatalf("prepared checkpoint holds %d lines, want %d", n, len(keys)+len(rest))
+	}
+
+	spec.Select = sel
+	local := spec
+	local.Checkpoint = filepath.Join(dir, "local.jsonl")
+	local.Jobs = 1
+	ck := filepath.Join(dir, "fleet.jsonl")
+	for _, path := range []string{local.Checkpoint, ck} {
+		if err := os.WriteFile(path, before, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := serve.Run(context.Background(), local, serve.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(local.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	workers := []string{newWorkerServer(t, serve.ManagerConfig{}).URL, newWorkerServer(t, serve.ManagerConfig{}).URL}
+	res, err := Run(context.Background(), spec, Config{
+		Workers:    workers,
+		Checkpoint: ck,
+		LeaseTTL:   10 * time.Second,
+		Worker:     fleetWorkerConfig(),
+		Logf:       t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	got, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(got, before) {
+		t.Fatalf("compaction dropped or moved records the file already held: %d lines before, %d after",
+			bytes.Count(before, []byte("\n")), bytes.Count(got, []byte("\n")))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fleet checkpoint differs from the local run's: %d vs %d bytes", len(got), len(want))
+	}
+	if res.Resumed != 0 || res.Fresh != len(sel) || !reflect.DeepEqual(res.Records, ref.Set.Records) {
+		t.Fatalf("resumed=%d fresh=%d records=%d, want 0/%d and the local run's %d records",
+			res.Resumed, res.Fresh, len(res.Records), len(sel), len(ref.Set.Records))
 	}
 }
 

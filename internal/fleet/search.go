@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/dse"
 )
@@ -12,26 +11,17 @@ import (
 // rung of the ladder is an ordinary fleet.Run of that rung's sweep spec —
 // sharded over the workers, leased under TTL heartbeats, merged with
 // fidelity-scoped dedup — and promotion between rungs happens on the
-// coordinator. Each rung merges into its own checkpoint file,
-// <cfg.Checkpoint>.r<divisor> (fleet completion compacts a checkpoint in
-// place, so rungs must not share one file the way a local search does); a
-// coordinator killed at any rung resumes from those files with zero
-// re-evaluation, and the final rung's compacted checkpoint is
-// byte-identical to an unsharded full-fidelity sweep of the survivors.
+// coordinator. All rungs share cfg.Checkpoint, as in a local search:
+// records are fidelity-tagged and each rung's compaction keeps the other
+// rungs' lines, so the file ends byte-identical to a Jobs: 1 local search
+// of the spec, and a coordinator killed at any rung resumes from it with
+// zero re-evaluation.
 func RunSearch(ctx context.Context, spec dse.SearchSpec, cfg Config) (*dse.SearchResult, error) {
 	if cfg.Checkpoint == "" {
 		return nil, errors.New("fleet: checkpoint path required")
 	}
-	base := cfg.Checkpoint
 	return dse.Search(ctx, spec, func(ctx context.Context, sw dse.SweepSpec) (*dse.ResultSet, error) {
-		scale := sw.Fidelity
-		if scale == 0 {
-			scale = 1
-		}
-		rcfg := cfg
-		rcfg.Checkpoint = fmt.Sprintf("%s.r%d", base, scale)
-		sw.Checkpoint = ""
-		res, err := Run(ctx, sw, rcfg)
+		res, err := Run(ctx, sw, cfg)
 		if err != nil {
 			return nil, err
 		}

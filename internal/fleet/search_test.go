@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -50,15 +52,17 @@ func TestRetryAfterParsing(t *testing.T) {
 // TestFleetSearch drives a successive-halving search across two real
 // workers: the ladder must prune 12 candidates to 6 full-fidelity
 // survivors, the survivor records must match an unsharded serve.Run of the
-// final rung's spec, and re-running the identical command must resume from
-// the per-rung checkpoints with zero re-evaluation.
+// final rung's spec, the one checkpoint every rung shares must be
+// byte-identical to a Jobs: 1 local serve.RunSearch's, and re-running the
+// identical command must resume from it with zero re-evaluation.
 func TestFleetSearch(t *testing.T) {
 	spec := dse.SearchSpec{Space: fleetSpec().Space, Rungs: []int{8, 1}, Eta: 2}
 	var workers []string
 	for i := 0; i < 2; i++ {
 		workers = append(workers, newWorkerServer(t, serve.ManagerConfig{}).URL)
 	}
-	ck := filepath.Join(t.TempDir(), "search.jsonl")
+	dir := t.TempDir()
+	ck := filepath.Join(dir, "search.jsonl")
 	cfg := Config{
 		Workers:    workers,
 		Checkpoint: ck,
@@ -94,7 +98,31 @@ func TestFleetSearch(t *testing.T) {
 		}
 	}
 
-	// The identical command resumes from <ck>.r8 and <ck>.r1 and evaluates
+	// Every rung shares the one checkpoint, which ends holding exactly the
+	// bytes a local one-evaluator search writes to a fresh file.
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 || files[0] != ck {
+		t.Fatalf("search left files %v, want only %s", files, ck)
+	}
+	local := spec
+	local.Checkpoint = filepath.Join(t.TempDir(), "local.jsonl")
+	local.Jobs = 1
+	if _, err := serve.RunSearch(context.Background(), local, serve.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(local.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fleet search checkpoint differs from the local search's: %d vs %d bytes (%d vs %d lines)",
+			len(got), len(want), bytes.Count(got, []byte("\n")), bytes.Count(want, []byte("\n")))
+	}
+
+	// The identical command resumes from that checkpoint and evaluates
 	// nothing anywhere in the ladder.
 	again, err := RunSearch(context.Background(), spec, cfg)
 	if err != nil {
@@ -102,6 +130,9 @@ func TestFleetSearch(t *testing.T) {
 	}
 	if again.Evaluated != 0 {
 		t.Fatalf("resume re-evaluated %d points, want 0", again.Evaluated)
+	}
+	if got, err := os.ReadFile(ck); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resumed search changed the checkpoint (err %v)", err)
 	}
 	if len(again.Survivors) != len(sr.Survivors) {
 		t.Fatal("resumed survivor set drifted")
@@ -114,7 +145,7 @@ func TestFleetSearch(t *testing.T) {
 }
 
 // TestFleetSearchRequiresCheckpoint pins the guard: promotion state lives in
-// the rung checkpoints, so a checkpoint-less fleet search is refused.
+// the checkpoint, so a checkpoint-less fleet search is refused.
 func TestFleetSearchRequiresCheckpoint(t *testing.T) {
 	if _, err := RunSearch(context.Background(),
 		dse.SearchSpec{Space: fleetSpec().Space}, Config{Workers: []string{"http://127.0.0.1:1"}}); err == nil {

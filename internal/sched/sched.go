@@ -64,18 +64,6 @@ func Map(ctx context.Context, n, workers int, fn func(int) error) error {
 	if w > n {
 		w = n
 	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := protect(fn, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	var (
 		next     atomic.Int64
 		done     atomic.Int64
@@ -120,7 +108,7 @@ func Map(ctx context.Context, n, workers int, fn func(int) error) error {
 	}
 	if done.Load() == int64(n) {
 		// Every item completed; a context that expired only after the last
-		// item is not a failure (mirrors the sequential path).
+		// item is not a failure.
 		return nil
 	}
 	return ctx.Err()

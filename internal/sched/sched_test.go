@@ -113,7 +113,7 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 func TestPanicLowestIndexWins(t *testing.T) {
-	// Sequential path: item 2 panics before item 5 would.
+	// One worker takes items in order: item 2 panics before item 5 would.
 	_, err := Collect(context.Background(), 8, 1, func(i int) (int, error) {
 		if i == 2 || i == 5 {
 			panic(i)

@@ -2,18 +2,16 @@ package serve
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/dse"
 	"repro/internal/durable"
-	"repro/internal/hw"
 )
 
-// Cache is a digest-addressed store of evaluation records: one checkpoint-
-// format JSON document per (point digest, trace seed) at
+// Cache is a digest-addressed store of evaluation records: one record line
+// (dse.AppendRecordLine) per (point digest, trace seed) at
 // <dir>/<digest>.s<seed>.json. It is the daemon's O(1) answer to repeated
 // evaluations under load — any sweep or single-point evaluation that lands
 // on a digest another request already computed is served from disk instead
@@ -54,11 +52,8 @@ func (c Cache) LoadAt(digest string, seed uint64, fidelity int) (dse.Record, boo
 	if err != nil {
 		return dse.Record{}, false
 	}
-	var r dse.Record
-	if err := hw.DecodeStrict(data, &r); err != nil {
-		return dse.Record{}, false
-	}
-	if !r.Valid() || r.Digest != digest || r.Seed != seed || r.Fidelity != fidelity {
+	r, ok := dse.ParseRecordLine(data)
+	if !ok || r.Digest != digest || r.Seed != seed || r.Fidelity != fidelity {
 		return dse.Record{}, false
 	}
 	return r, true
@@ -69,13 +64,8 @@ func (c Cache) Save(rec dse.Record) error {
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return fmt.Errorf("serve: cache: %w", err)
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("serve: cache: marshal record: %w", err)
-	}
 	if err := durable.WriteFile(c.PathAt(rec.Digest, rec.Seed, rec.Fidelity), func(w *bufio.Writer) error {
-		_, err := w.Write(append(data, '\n'))
-		return err
+		return dse.WriteRecords(w, []dse.Record{rec})
 	}); err != nil {
 		return fmt.Errorf("serve: cache: save %s: %w", rec.Digest, err)
 	}

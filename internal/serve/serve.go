@@ -196,22 +196,26 @@ func (s *Server) records(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 	next := from
+	var buf []byte
 	for {
 		recs, state, changed := j.snapshotFrom(next)
-		for _, rec := range recs {
-			data, err := json.Marshal(rec)
-			if err != nil {
+		if len(recs) > 0 {
+			buf = buf[:0]
+			for _, rec := range recs {
+				var err error
+				if buf, err = dse.AppendRecordLine(buf, rec); err != nil {
+					disconnected = true
+					return
+				}
+			}
+			if _, err := w.Write(buf); err != nil {
 				disconnected = true
 				return
 			}
-			if _, err := w.Write(append(data, '\n')); err != nil {
-				disconnected = true
-				return
+			next += len(recs)
+			if flusher != nil {
+				flusher.Flush()
 			}
-		}
-		next += len(recs)
-		if len(recs) > 0 && flusher != nil {
-			flusher.Flush()
 		}
 		if state.terminal() {
 			return
@@ -296,18 +300,28 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request) {
 	key := dse.DigestKey(p)
 
 	cacheState := "off"
-	if c := s.mgr.cfg.Cache; c != nil {
-		if rec, ok := c.LoadAt(key, seed, 0); ok {
-			w.Header().Set("X-Result-Cache", "hit")
-			writeJSON(w, http.StatusOK, rec)
-			return
-		}
+	c := s.mgr.cfg.Cache
+	var rec dse.Record
+	hit := false
+	if c != nil {
 		cacheState = "miss"
+		if rec, hit = c.LoadAt(key, seed, 0); hit {
+			cacheState = "hit"
+		}
 	}
-	rec := dse.Evaluate(p, seed)
-	if c := s.mgr.cfg.Cache; c != nil {
-		c.Save(rec) // best-effort, like the sweep path
+	if !hit {
+		rec = dse.Evaluate(p, seed)
+		if c != nil {
+			c.Save(rec) // best-effort, like the sweep path
+		}
+	}
+	line, err := dse.AppendRecordLine(nil, rec)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
 	w.Header().Set("X-Result-Cache", cacheState)
-	writeJSON(w, http.StatusOK, rec)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(line)
 }

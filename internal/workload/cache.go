@@ -40,7 +40,7 @@ var storeHits, storeMisses, storeErrors atomic.Int64
 
 // CachedTrace returns the SyntheticTrace for (cfg, sc, opt, seed),
 // computing it at most once per process — and, when a trace directory is
-// configured (SetTraceDir or BISHOP_TRACE_DIR), at most once per *store*:
+// configured (SetTraceDir), at most once per *store*:
 // a miss in memory first looks the trace up by its generation-input digest
 // on disk, and a generated trace is persisted atomically for other
 // processes. Every simulator in this repo treats traces as read-only, which
@@ -98,34 +98,23 @@ func TraceStoreStats() (hits, misses, errs int64) {
 	return storeHits.Load(), storeMisses.Load(), storeErrors.Load()
 }
 
-// TraceDirEnv is the environment variable that opts a process into the
-// disk-backed trace store when SetTraceDir is not called explicitly.
-const TraceDirEnv = "BISHOP_TRACE_DIR"
-
 var traceDir struct {
 	sync.Mutex
-	set bool
 	dir string
 }
 
-// SetTraceDir points the disk-backed trace store at dir; "" disables it
-// (including the TraceDirEnv fallback).
+// SetTraceDir points the disk-backed trace store at dir; "" disables it.
 func SetTraceDir(dir string) {
 	traceDir.Lock()
 	defer traceDir.Unlock()
-	traceDir.set = true
 	traceDir.dir = dir
 }
 
-// TraceDir returns the configured trace-store directory, consulting
-// TraceDirEnv on first use; "" means the store is disabled.
+// TraceDir returns the configured trace-store directory; "" means the
+// store is disabled.
 func TraceDir() string {
 	traceDir.Lock()
 	defer traceDir.Unlock()
-	if !traceDir.set {
-		traceDir.set = true
-		traceDir.dir = os.Getenv(TraceDirEnv)
-	}
 	return traceDir.dir
 }
 
