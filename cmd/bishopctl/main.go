@@ -106,7 +106,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// SIGINT/SIGTERM abort the coordinator; the checkpoints keep every
-	// merged record, so the identical command resumes the work.
+	// committed record, so the identical command resumes the work.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

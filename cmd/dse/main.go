@@ -12,8 +12,8 @@
 // -spec file.json runs a saved spec wholesale.
 //
 // Sweeps are resumable and shardable: with -checkpoint every evaluated
-// point is durably appended as it completes, so an interrupted run picks up
-// where it stopped; with -shard i/n the point set is partitioned
+// point is durably appended in enumeration order (the same bytes at any
+// -jobs), so an interrupted run picks up where it stopped; with -shard i/n the point set is partitioned
 // deterministically across n machines and the shard checkpoints merge into
 // the unsharded result. With -trace-dir the shards read one digest-addressed
 // trace set (generated once, e.g. by `trace pack`, or persisted on first

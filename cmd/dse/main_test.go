@@ -129,14 +129,13 @@ func TestSavedSpecMatchesServeRun(t *testing.T) {
 	if err := os.WriteFile(spec, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	runDSE(t, "-spec", spec, "-records", recs, "-checkpoint", ck, "-jobs", "1")
+	runDSE(t, "-spec", spec, "-records", recs, "-checkpoint", ck)
 
 	s, err := dse.DecodeSpec([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Checkpoint = filepath.Join(dir, "ref.jsonl")
-	s.Jobs = 1
 	res, err := serve.Run(context.Background(), s, serve.RunOptions{})
 	if err != nil {
 		t.Fatal(err)

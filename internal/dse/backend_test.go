@@ -279,7 +279,7 @@ func TestLegacyCheckpointResumesAsBishop(t *testing.T) {
 	if err := os.WriteFile(partial, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rs2, err := Sweep(context.Background(), pts, Config{Seed: 1, Checkpoint: partial, Jobs: 1})
+	rs2, err := Sweep(context.Background(), pts, Config{Seed: 1, Checkpoint: partial})
 	if err != nil {
 		t.Fatal(err)
 	}

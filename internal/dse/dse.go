@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/accel"
 	"repro/internal/backend"
@@ -179,7 +178,8 @@ type Config struct {
 
 	// Checkpoint is the JSONL record file. Non-empty makes the sweep
 	// resumable: points whose digest already appears in the file are not
-	// re-evaluated, and every fresh evaluation is appended as it completes.
+	// re-evaluated, and fresh evaluations are appended in unit order (see
+	// Committer), so the file's bytes do not depend on Jobs.
 	Checkpoint string
 
 	// Shard i of Shards partitions the point set deterministically by
@@ -211,11 +211,13 @@ type Config struct {
 	// already durable wherever they came from).
 	Preloaded []Record
 
-	// OnRecord, when non-nil, observes every *fresh* evaluation right after
-	// it lands in the checkpoint, with its enumeration index set. Calls are
-	// serialized by the sweep's internal lock, so the callback may touch
-	// shared state without further synchronization — it is the serving
-	// layer's record-streaming and cache-publication hook.
+	// OnRecord, when non-nil, observes every *fresh* evaluation, with its
+	// enumeration index set, once the record is durable in the checkpoint.
+	// Calls come one at a time and in unit order, so the callback may touch
+	// shared state without further synchronization; they are not made under
+	// a lock any evaluator waits on, so a slow callback does not stall the
+	// sweep's evaluators. It is the serving layer's record-streaming and
+	// cache-publication hook.
 	OnRecord func(Record)
 }
 
@@ -339,11 +341,10 @@ type ResultSet struct {
 func (rs *ResultSet) Complete() bool { return len(rs.Records) == len(rs.Points) }
 
 // Sweep evaluates the units of cfg (see Config.Units) that are not already
-// checkpointed or preloaded, appending each record to the checkpoint as it
-// lands, and returns the merged result set. On cancellation the records
-// completed so far are already durable in the checkpoint and the error is
-// returned; a later call with the same arguments resumes where the sweep
-// stopped.
+// checkpointed or preloaded, committing the records to the checkpoint in
+// unit order, and returns the merged result set. On cancellation the sweep
+// waits for the evaluations in flight, commits them, and returns the error;
+// a later call with the same arguments resumes where the sweep stopped.
 func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -376,30 +377,21 @@ func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) 
 		}
 	}
 
-	var mu sync.Mutex
-	evaluated := 0
+	commit := NewCommitter(ckpt, len(todo), cfg.OnRecord)
 	err := sched.Map(ctx, len(todo), cfg.Jobs, func(k int) error {
 		i := todo[k]
 		rec := EvaluateAt(points[i], cfg.Seed, cfg.Fidelity)
 		rec.Index = i
-		mu.Lock()
-		defer mu.Unlock()
-		if ckpt != nil {
-			if werr := ckpt.Append(rec); werr != nil {
-				return werr
-			}
-		}
-		done.recs[rec.Digest] = rec // fresh by construction: todo skips adopted digests
-		evaluated++
-		if cfg.OnRecord != nil {
-			cfg.OnRecord(rec)
-		}
-		return nil
+		return commit.Commit(k, rec)
 	})
+	fresh := commit.Committed()
+	for _, rec := range fresh {
+		done.recs[rec.Digest] = rec // fresh by construction: todo skips adopted digests
+	}
 
 	// One record per occurrence of every selected point that has one (this
 	// shard's units, or another shard's found in a shared checkpoint).
-	rs := &ResultSet{Points: points, Evaluated: evaluated}
+	rs := &ResultSet{Points: points, Evaluated: len(fresh)}
 	sel := digestSet(cfg.Select)
 	for i, key := range keys {
 		if rec, ok := done.Get(key); ok && (sel == nil || sel[key]) {

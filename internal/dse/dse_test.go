@@ -3,13 +3,13 @@ package dse
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/accel"
 	"repro/internal/bundle"
@@ -113,33 +113,69 @@ func TestSweepParallelDeterministic(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesIndependentOfJobs pins the commit order: a sweep's
+// checkpoint holds its fresh records in unit order, so the file is the same
+// bytes at any evaluator count, run after run.
+func TestCheckpointBytesIndependentOfJobs(t *testing.T) {
+	points := Space{
+		Models:    []int{1, 2},
+		BSA:       []bool{false, true},
+		Shapes:    []bundle.Shape{{BSt: 4, BSn: 2}, {BSt: 2, BSn: 2}, {BSt: 1, BSn: 2}},
+		ECPThetas: []int{0, 6},
+	}.Grid()
+	if len(points) != 24 {
+		t.Fatalf("grid has %d points, want 24", len(points))
+	}
+	dir := t.TempDir()
+	var want []byte
+	for _, jobs := range []int{1, 2, 4} {
+		for run := 0; run < 3; run++ {
+			ckpt := filepath.Join(dir, fmt.Sprintf("j%d-%d.jsonl", jobs, run))
+			if _, err := Sweep(context.Background(), points, Config{Seed: 1, Checkpoint: ckpt, Jobs: jobs}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("Jobs: %d run %d wrote a checkpoint that differs from Jobs: 1's", jobs, run)
+			}
+		}
+	}
+}
+
 func TestSweepInterruptResumeBitIdentical(t *testing.T) {
 	points := testSpace().Grid()
 	want, err := Sweep(context.Background(), points, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref.jsonl")
+	if _, err := Sweep(context.Background(), points, Config{Seed: 1, Checkpoint: ref, Jobs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
+	// Kill the sweep as soon as its first record is durable: OnRecord runs
+	// only after the checkpoint holds the record.
+	ckpt := filepath.Join(dir, "sweep.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() {
-		// Kill the sweep as soon as at least one record is durable.
-		for {
-			if data, err := os.ReadFile(ckpt); err == nil && strings.Count(string(data), "\n") >= 1 {
-				cancel()
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	partial, err := Sweep(ctx, points, Config{Seed: 1, Checkpoint: ckpt, Jobs: 1})
-	if err == nil && partial.Complete() {
-		t.Log("sweep outran the killer; resume degenerates to a no-op")
+	partial, err := Sweep(ctx, points, Config{Seed: 1, Checkpoint: ckpt, Jobs: 2,
+		OnRecord: func(Record) { cancel() }})
+	if err == nil || partial.Evaluated == 0 || partial.Evaluated >= len(points) {
+		t.Fatalf("interrupted sweep: err %v, %d of %d points evaluated", err, partial.Evaluated, len(points))
 	}
 
 	// Resume from the checkpoint with a fresh context.
-	resumed, err := Sweep(context.Background(), points, Config{Seed: 1, Checkpoint: ckpt})
+	resumed, err := Sweep(context.Background(), points, Config{Seed: 1, Checkpoint: ckpt, Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +185,20 @@ func TestSweepInterruptResumeBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(resumed.Records, want.Records) {
 		t.Fatal("interrupt+resume must be bit-identical to an uninterrupted sweep")
 	}
+	if resumed.Evaluated != len(points)-partial.Evaluated {
+		t.Fatalf("resume evaluated %d points, want the %d the interrupted sweep left",
+			resumed.Evaluated, len(points)-partial.Evaluated)
+	}
+	before, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, wantBytes) {
+		t.Fatal("interrupt+resume checkpoint differs from an uninterrupted sweep's")
+	}
 
 	// A third pass evaluates nothing: every digest is already checkpointed,
 	// so the checkpoint file does not grow.
-	before, _ := os.ReadFile(ckpt)
 	again, err := Sweep(context.Background(), points, Config{Seed: 1, Checkpoint: ckpt})
 	if err != nil {
 		t.Fatal(err)

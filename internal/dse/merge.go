@@ -12,11 +12,11 @@ import (
 // This file is the record-line codec and the merge/dedup surface the fleet
 // coordinator builds on. Every record line — checkpoint, result cache,
 // NDJSON stream, evaluate body, -records dump — is encoded by
-// AppendRecordLine and decoded by ParseRecordLine, so a line parsed from
-// any of them and appended verbatim (CheckpointWriter.AppendLine) keeps the
-// merged file byte-identical to one a local sweep would write. The
-// seed-scoped digest deduper absorbs the overlap re-leased shards
-// inevitably re-deliver.
+// AppendRecordLine and decoded by ParseRecordLine, and re-encoding a parsed
+// line gives back its bytes (FuzzParseRecordLine), so records a coordinator
+// parses from worker streams and commits keep the merged file
+// byte-identical to one a local sweep would write. The seed-scoped digest
+// deduper absorbs the overlap re-leased shards inevitably re-deliver.
 
 // AppendRecordLine appends the record line of rec — its JSON encoding and a
 // closing newline — to dst and returns the extended buffer.

@@ -71,67 +71,6 @@ func TestParseRecordLine(t *testing.T) {
 	}
 }
 
-// TestCheckpointWriterAppendLine pins that raw-line appends interleave with
-// record appends into a file the checkpoint loader fully recovers, torn tail
-// included, byte-identical to what Append of the same records writes.
-func TestCheckpointWriterAppendLine(t *testing.T) {
-	pts := mergeTestPoints(t)
-	r0, r1 := Evaluate(pts[0], 1), Evaluate(pts[1], 1)
-	r1.Index = 1
-	line1, _ := json.Marshal(r1)
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.jsonl")
-	w, err := OpenCheckpointWriter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(r0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendLine(line1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ref := filepath.Join(dir, "ref.jsonl")
-	wr, err := OpenCheckpointWriter(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wr.Append(r0); err != nil {
-		t.Fatal(err)
-	}
-	if err := wr.Append(r1); err != nil {
-		t.Fatal(err)
-	}
-	wr.Close()
-	got, _ := os.ReadFile(path)
-	want, _ := os.ReadFile(ref)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("AppendLine file differs from Append file:\n%s\n%s", got, want)
-	}
-
-	// Torn tail: a partial final line is tolerated and does not corrupt the
-	// recovered prefix; the writer reopened for append recovers both records.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"index":2,"dig`)
-	f.Close()
-	w2, err := OpenCheckpointWriter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if got := len(w2.Records()); got != 2 {
-		t.Fatalf("recovered %d records past torn tail, want 2", got)
-	}
-}
-
 // TestDedup pins seed scoping, validity, digest dedup, and
 // enumeration-ordered merge.
 func TestDedup(t *testing.T) {

@@ -260,19 +260,22 @@ func TestSearchResumesMidRung(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Cancel once three records are durable: OnRecord runs only after the
+	// checkpoint holds the record.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() {
-		for {
-			if data, err := os.ReadFile(ckpt); err == nil && strings.Count(string(data), "\n") >= 3 {
+	n := 0
+	killer := func(ctx context.Context, sw SweepSpec) (*ResultSet, error) {
+		cfg := sw.Config()
+		cfg.OnRecord = func(Record) {
+			if n++; n == 3 {
 				cancel()
-				return
 			}
-			time.Sleep(time.Millisecond)
 		}
-	}()
-	if _, err := Search(ctx, spec, nil); err == nil {
-		t.Log("search outran the killer; resume degenerates to a no-op")
+		return Sweep(ctx, sw.Points(), cfg)
+	}
+	if _, err := Search(ctx, spec, killer); err == nil {
+		t.Fatal("search outran the cancel at its third record")
 	}
 	durable, _ := os.ReadFile(ckpt)
 	adopted := strings.Count(string(durable), "\n")

@@ -1,7 +1,7 @@
 // Package durable is the only package that writes files. WriteFile is the
 // one atomic-publication path, for trace-store entries, result-cache
-// records, compacted checkpoints, exported trace files and the CLIs' output
-// files; Journal is the fsynced append-only file under sweep checkpoints.
+// records, exported trace files and the CLIs' output files; Journal is the
+// fsynced append-only file under sweep and fleet checkpoints.
 // bishoplint's durable-writes check keeps file writes out of every other
 // package, so a crash-consistency test of the durable-write path has a
 // single seam to exercise.

@@ -60,8 +60,9 @@ func TestWriteFile(t *testing.T) {
 }
 
 // TestJournalAppendClosesTornTail pins the append over a torn tail: the
-// newline that ends the fragment and the new line go out in one write, the
-// file is never truncated, and every complete earlier line survives.
+// newline that ends the fragment and the new block go out in one write, the
+// file is never truncated, and every complete earlier line survives. A block
+// of several lines over the torn tail lands whole, after that newline.
 func TestJournalAppendClosesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j")
 	const prior = "one\ntwo\n{\"torn"
@@ -75,15 +76,15 @@ func TestJournalAppendClosesTornTail(t *testing.T) {
 	if string(data) != prior {
 		t.Fatalf("OpenJournal returned %q, want the existing bytes %q", data, prior)
 	}
-	for _, line := range []string{"three", "four"} {
-		if err := j.Append([]byte(line)); err != nil {
+	for _, block := range []string{"three\nfour\n", "five\n"} {
+		if err := j.Append([]byte(block)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := prior + "\nthree\nfour\n"
+	want := prior + "\nthree\nfour\nfive\n"
 	if got, err := os.ReadFile(path); err != nil || string(got) != want {
 		t.Fatalf("journal holds %q, %v; want %q", got, err, want)
 	}
@@ -101,7 +102,7 @@ func TestJournalCreatesMissingFile(t *testing.T) {
 		if i == 0 && data != nil {
 			t.Fatalf("new journal returned existing bytes %q", data)
 		}
-		if err := j.Append([]byte(line)); err != nil {
+		if err := j.Append([]byte(line + "\n")); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Close(); err != nil {

@@ -2,12 +2,12 @@ package durable
 
 import "os"
 
-// Journal is an append-only file of newline-terminated lines, each fsynced
-// before Append returns, so a killed writer loses at most the line in
-// flight. A crash mid-append can leave a torn final line; Journal never
-// truncates it away but closes it off with a newline before the next line,
-// so the fragment stays a malformed line of its own for the reader to skip.
-// The caller serializes Append calls.
+// Journal is an append-only file of newline-terminated lines. Append writes
+// a block of lines and fsyncs it before returning, so a killed writer loses
+// at most the block in flight. A crash mid-append can leave a torn final
+// line; Journal never truncates it away but closes it off with a newline
+// before the next block, so the fragment stays a malformed line of its own
+// for the reader to skip. The caller serializes Append calls.
 type Journal struct {
 	f *os.File
 	// torn is set while the file ends in a partial line.
@@ -28,15 +28,14 @@ func OpenJournal(path string) (*Journal, []byte, error) {
 	return &Journal{f: f, torn: len(data) > 0 && data[len(data)-1] != '\n'}, data, nil
 }
 
-// Append durably appends line (which must not contain a newline) and its
-// terminating newline. Over a torn tail the newline that ends the fragment
-// goes out in the same write.
-func (j *Journal) Append(line []byte) error {
-	buf := make([]byte, 0, len(line)+2)
+// Append durably appends block, one or more newline-terminated lines, with
+// one write and one fsync. Over a torn tail the newline that ends the
+// fragment goes first, in the same write.
+func (j *Journal) Append(block []byte) error {
 	if j.torn {
-		buf = append(buf, '\n')
+		block = append([]byte{'\n'}, block...)
 	}
-	if _, err := j.f.Write(append(append(buf, line...), '\n')); err != nil {
+	if _, err := j.f.Write(block); err != nil {
 		return err
 	}
 	j.torn = false

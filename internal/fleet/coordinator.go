@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/dse"
-	"repro/internal/durable"
 	"repro/internal/serve"
 )
 
@@ -24,13 +22,13 @@ type Config struct {
 	Workers []string
 	// Shards is the shard count (default: one per worker).
 	Shards int
-	// Checkpoint is the durable merged JSONL file. During the run it is an
-	// arrival-order log (resumable after a coordinator SIGKILL via the
-	// torn-tail-tolerant checkpoint loader); on completion the run's units
-	// are compacted into enumeration order after every other record the
-	// file holds (other seeds, fidelities or points, in file order), so a
-	// fresh file ends byte-identical to the checkpoint of an unsharded,
-	// single-evaluator (Jobs: 1) dse.Sweep of the same spec.
+	// Checkpoint is the durable merged JSONL file. Merged records are
+	// committed in unit order through a dse.Committer, after every record
+	// the file already holds, so the file ends byte-identical to the
+	// checkpoint an unsharded dse.Sweep of the same spec leaves over it. A
+	// record that arrives ahead of an uncommitted unit waits in memory; a
+	// coordinator killed mid-run resumes from the committed prefix, and the
+	// shards of buffered records are submitted again.
 	Checkpoint string
 	// LeaseTTL is how long a leased shard may go without delivering a record
 	// before its holder is declared stalled and the shard re-leased
@@ -42,8 +40,8 @@ type Config struct {
 	// Worker tunes every worker client (timeouts, retry, breaker, jitter
 	// seed).
 	Worker WorkerConfig
-	// OnRecord, when set, observes every fresh (deduplicated) record as it
-	// is durably merged.
+	// OnRecord, when set, observes every fresh (deduplicated) record once
+	// it is durable in the checkpoint, one call at a time, in unit order.
 	OnRecord func(dse.Record)
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
@@ -90,12 +88,17 @@ type coordinator struct {
 	keys   []string // digest key per point
 	table  *leaseTable
 
+	// todo lists the units the run must merge (those the checkpoint did not
+	// already hold), in unit order; pos maps each one's digest to its
+	// position in todo, the position commit files it at.
+	todo   []int
+	pos    map[string]int
+	commit *dse.Committer
+
 	mu       sync.Mutex
 	dedup    *dse.Dedup
-	ckpt     *dse.CheckpointWriter
 	fresh    int
 	byWorker map[string]int
-	sinkErr  error // first durable-append failure; aborts the run
 }
 
 func (c *coordinator) logf(format string, args ...any) {
@@ -104,36 +107,33 @@ func (c *coordinator) logf(format string, args ...any) {
 	}
 }
 
-// ingest merges one verbatim record line from a worker: parse, dedup,
-// append to the durable checkpoint, notify. Returns false when the run must
-// abort because the checkpoint cannot be written.
-func (c *coordinator) ingest(worker string, line []byte) bool {
+// ingest merges one record line from a worker: parse, dedup, commit. The
+// error is the checkpoint's append failure, which aborts the run.
+func (c *coordinator) ingest(worker string, line []byte) error {
 	rec, ok := dse.ParseRecordLine(line)
 	if !ok {
 		// A torn or foreign line (mid-record truncation upstream never
 		// reaches here — Worker.Stream only yields full lines — but a fault
 		// proxy can corrupt a line in flight): drop it; the digest inventory
 		// keeps the shard incomplete until a good copy arrives.
-		return true
+		return nil
+	}
+	k, ok := c.pos[rec.Digest]
+	if !ok {
+		return nil // not a unit this run still has to merge
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sinkErr != nil {
-		return false
+	fresh := c.dedup.Add(rec)
+	if fresh {
+		c.fresh++
+		c.byWorker[worker]++
 	}
-	if !c.dedup.Add(rec) {
-		return true
+	c.mu.Unlock()
+	if !fresh {
+		return nil
 	}
-	if err := c.ckpt.AppendLine(line); err != nil {
-		c.sinkErr = err
-		return false
-	}
-	c.fresh++
-	c.byWorker[worker]++
-	if c.cfg.OnRecord != nil {
-		c.cfg.OnRecord(rec)
-	}
-	return true
+	rec.Index = c.todo[k]
+	return c.commit.Commit(k, rec)
 }
 
 // covered reports whether every unit of the shard is merged.
@@ -180,15 +180,12 @@ func (c *coordinator) runShard(ctx context.Context, w *Worker, shard, gen int) e
 			if !c.table.heartbeat(shard, gen) {
 				return errLeaseLost
 			}
-			if !c.ingest(w.Name, line) {
-				return c.sinkError()
-			}
-			return nil
+			return c.ingest(w.Name, line)
 		})
 		offset += n
 		if serr != nil {
 			if errors.Is(serr, errLeaseLost) || errors.Is(serr, context.Canceled) ||
-				ctx.Err() != nil || c.sinkError() != nil {
+				ctx.Err() != nil || c.commit.Err() != nil {
 				return serr
 			}
 			// Transient stream fault (truncation, reset, worker death):
@@ -232,12 +229,6 @@ func (c *coordinator) runShard(ctx context.Context, w *Worker, shard, gen int) e
 	}
 }
 
-func (c *coordinator) sinkError() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sinkErr
-}
-
 // runWorker is one worker's runner loop: acquire a lease, drive the shard,
 // complete or release, repeat until no work remains.
 func (c *coordinator) runWorker(ctx context.Context, w *Worker) {
@@ -256,7 +247,7 @@ func (c *coordinator) runWorker(ctx context.Context, w *Worker) {
 			continue
 		}
 		c.table.release(shard, gen)
-		if ctx.Err() != nil || c.sinkError() != nil {
+		if ctx.Err() != nil || c.commit.Err() != nil {
 			return
 		}
 		c.logf("fleet: %s shard %d: released: %v", w.Name, shard, err)
@@ -270,9 +261,9 @@ func (c *coordinator) runWorker(ctx context.Context, w *Worker) {
 
 // Run executes spec across cfg.Workers and returns the merged result. The
 // checkpoint at cfg.Checkpoint is consulted first (a coordinator killed
-// mid-run resumes with zero re-evaluation of merged points) and holds the
-// complete, enumeration-ordered record set on success, after the records
-// of other runs it already held (see Config.Checkpoint).
+// mid-run resumes with zero re-evaluation of merged points) and on success
+// holds one record per unit, in unit order, after the records it already
+// held (see Config.Checkpoint). A run that merges nothing writes nothing.
 func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Workers) == 0 {
@@ -311,24 +302,28 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		keys:     dse.DigestKeys(points),
 		table:    newLeaseTable(cfg.Shards, cfg.LeaseTTL, nil),
 		dedup:    dse.NewDedupAt(spec.Seed, spec.Fidelity),
-		ckpt:     ckpt,
+		pos:      map[string]int{},
 		byWorker: map[string]int{},
 	}
-	// Only records of this run's units are adopted: the file may also hold
-	// other seeds, fidelities or points (a shared search checkpoint, an
-	// earlier sweep), which compaction keeps but the result set must not
-	// include.
-	units := spec.Config().Units(points)
-	own := make(map[string]bool, len(units))
-	for _, i := range units {
-		own[c.keys[i]] = true
+	// Only records of this run's units are adopted, under Dedup's rule: the
+	// file may also hold other seeds, fidelities or points (a shared search
+	// checkpoint, an earlier sweep), which stay in place but the result set
+	// must not include. The units the file does not hold are the plan.
+	held := dse.NewDedupAt(spec.Seed, spec.Fidelity)
+	for _, rec := range ckpt.Records() {
+		held.Add(rec)
 	}
 	resumed := 0
-	for _, rec := range ckpt.Records() {
-		if own[rec.Digest] && c.dedup.Add(rec) {
+	for _, i := range spec.Config().Units(points) {
+		if rec, ok := held.Get(c.keys[i]); ok {
+			c.dedup.Add(rec)
 			resumed++
+		} else {
+			c.pos[c.keys[i]] = len(c.todo)
+			c.todo = append(c.todo, i)
 		}
 	}
+	c.commit = dse.NewCommitter(ckpt, len(c.todo), cfg.OnRecord)
 	for i := range shards {
 		if c.covered(i) {
 			c.table.markDone(i)
@@ -387,7 +382,7 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		<-reaperDone
 	}
 
-	if err := c.sinkError(); err != nil {
+	if err := c.commit.Err(); err != nil {
 		return Result{}, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -397,29 +392,6 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("fleet: %d shards incomplete (all workers exhausted)", n)
 	}
 
-	// Compaction atomically replaces the arrival-order merge log. The new
-	// file keeps every record that is not one of this run's units, in file
-	// order, then holds one record per unit of the unsharded sweep, in unit
-	// order: the lines a Jobs: 1 unsharded dse.Sweep appends to the same
-	// file. No shard remains, so every unit has its record. durable.WriteFile
-	// publishes it with one fsync for the whole file; a compaction killed
-	// partway leaves the arrival log intact, and the next run resumes from it.
-	var recs []dse.Record
-	for _, rec := range ckpt.Records() {
-		if rec.Seed != spec.Seed || rec.Fidelity != spec.Fidelity || !own[rec.Digest] {
-			recs = append(recs, rec)
-		}
-	}
-	for _, i := range units {
-		rec, _ := c.dedup.Get(c.keys[i])
-		rec.Index = i
-		recs = append(recs, rec)
-	}
-	if err := durable.WriteFile(cfg.Checkpoint, func(w *bufio.Writer) error {
-		return dse.WriteRecords(w, recs)
-	}); err != nil {
-		return Result{}, fmt.Errorf("fleet: compact checkpoint: %w", err)
-	}
 	res := Result{
 		Records:       c.dedup.Ordered(points),
 		Points:        len(points),

@@ -46,14 +46,11 @@ func newWorkerServer(t *testing.T, mcfg serve.ManagerConfig) *httptest.Server {
 
 // referenceCheckpoint runs the spec unsharded through the exact runner the
 // daemon uses and returns the checkpoint bytes — the ground truth every
-// fleet test compares against. It evaluates on one worker so the file is in
-// enumeration order, the order the fleet merge compacts into; Jobs is not
-// part of the spec's identity.
+// fleet test compares against.
 func referenceCheckpoint(t *testing.T, spec dse.SweepSpec) []byte {
 	t.Helper()
 	s := spec
 	s.Checkpoint = filepath.Join(t.TempDir(), "ref.jsonl")
-	s.Jobs = 1
 	if _, err := serve.Run(context.Background(), s, serve.RunOptions{}); err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -118,55 +115,13 @@ func TestFleetMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetCompactionIgnoresTornLeftovers pins that compaction never reads
-// a leftover of an earlier, killed compaction: with a torn 40-byte
-// "<checkpoint>.compact" already on disk, the published checkpoint is still
-// byte-identical to the unsharded run, every point loads from it, and no
-// temp file stays behind.
-func TestFleetCompactionIgnoresTornLeftovers(t *testing.T) {
-	spec := fleetSpec()
-	want := referenceCheckpoint(t, spec)
-	dir := t.TempDir()
-	ck := filepath.Join(dir, "merged.jsonl")
-	if err := os.WriteFile(ck+".compact", want[:40], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	workers := []string{newWorkerServer(t, serve.ManagerConfig{}).URL, newWorkerServer(t, serve.ManagerConfig{}).URL}
-	if _, err := Run(context.Background(), spec, Config{
-		Workers:    workers,
-		Checkpoint: ck,
-		LeaseTTL:   10 * time.Second,
-		Worker:     fleetWorkerConfig(),
-		Logf:       t.Logf,
-	}); err != nil {
-		t.Fatalf("fleet run: %v", err)
-	}
-	got, err := os.ReadFile(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("compacted checkpoint differs from unsharded run: %d vs %d bytes", len(got), len(want))
-	}
-	recs, err := dse.LoadCheckpoint(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(spec.Points()); len(recs) != n {
-		t.Fatalf("compacted checkpoint loads %d of %d records", len(recs), n)
-	}
-	if tmps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(tmps) != 0 {
-		t.Fatalf("temp files left behind: %v", tmps)
-	}
-}
-
-// TestFleetCompactionKeepsOtherRecords pins that compaction rewrites only
-// the run's own units: over a checkpoint that already holds another seed's
-// records and records of points outside the spec's Select set, a fleet run
-// keeps every one of them, in file order, ahead of its units — the exact
-// bytes a Jobs: 1 local run of the spec over a copy of that file leaves —
-// and returns only the selected points' records.
-func TestFleetCompactionKeepsOtherRecords(t *testing.T) {
+// TestFleetRunKeepsOtherRecords pins that a fleet run only appends its own
+// units: over a checkpoint that already holds another seed's records and
+// records of points outside the spec's Select set, a fleet run keeps every
+// one of them, in file order, ahead of its units — the exact bytes a local
+// run of the spec over a copy of that file leaves — and returns only the
+// selected points' records.
+func TestFleetRunKeepsOtherRecords(t *testing.T) {
 	spec := fleetSpec()
 	keys := dse.DigestKeys(spec.Points())
 	var sel, rest []string
@@ -200,7 +155,6 @@ func TestFleetCompactionKeepsOtherRecords(t *testing.T) {
 	spec.Select = sel
 	local := spec
 	local.Checkpoint = filepath.Join(dir, "local.jsonl")
-	local.Jobs = 1
 	ck := filepath.Join(dir, "fleet.jsonl")
 	for _, path := range []string{local.Checkpoint, ck} {
 		if err := os.WriteFile(path, before, 0o644); err != nil {
@@ -232,7 +186,7 @@ func TestFleetCompactionKeepsOtherRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(got, before) {
-		t.Fatalf("compaction dropped or moved records the file already held: %d lines before, %d after",
+		t.Fatalf("fleet run dropped or moved records the file already held: %d lines before, %d after",
 			bytes.Count(before, []byte("\n")), bytes.Count(got, []byte("\n")))
 	}
 	if !bytes.Equal(got, want) {
@@ -453,8 +407,9 @@ func settleShardJobs(t *testing.T, spec dse.SweepSpec, workers []string, shards 
 
 // TestFleetCoordinatorResume pins the durability contract: a coordinator
 // torn down mid-sweep (context cancel — the polite spelling of SIGKILL; the
-// checkpoint is fsynced per record either way) resumes from its checkpoint,
-// re-evaluates none of the completed points, and finishes byte-identical.
+// checkpoint is fsynced per committed run either way) resumes from its
+// checkpoint, re-evaluates none of the completed points, and finishes
+// byte-identical.
 func TestFleetCoordinatorResume(t *testing.T) {
 	spec := fleetSpec()
 	want := referenceCheckpoint(t, spec)

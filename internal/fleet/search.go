@@ -12,10 +12,10 @@ import (
 // sharded over the workers, leased under TTL heartbeats, merged with
 // fidelity-scoped dedup — and promotion between rungs happens on the
 // coordinator. All rungs share cfg.Checkpoint, as in a local search:
-// records are fidelity-tagged and each rung's compaction keeps the other
-// rungs' lines, so the file ends byte-identical to a Jobs: 1 local search
-// of the spec, and a coordinator killed at any rung resumes from it with
-// zero re-evaluation.
+// records are fidelity-tagged and each rung appends its records in unit
+// order after the lines the file already holds, so the file ends
+// byte-identical to a local search of the spec, and a coordinator killed at
+// any rung resumes from it with zero re-evaluation.
 func RunSearch(ctx context.Context, spec dse.SearchSpec, cfg Config) (*dse.SearchResult, error) {
 	if cfg.Checkpoint == "" {
 		return nil, errors.New("fleet: checkpoint path required")

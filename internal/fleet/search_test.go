@@ -53,8 +53,9 @@ func TestRetryAfterParsing(t *testing.T) {
 // workers: the ladder must prune 12 candidates to 6 full-fidelity
 // survivors, the survivor records must match an unsharded serve.Run of the
 // final rung's spec, the one checkpoint every rung shares must be
-// byte-identical to a Jobs: 1 local serve.RunSearch's, and re-running the
-// identical command must resume from it with zero re-evaluation.
+// byte-identical to a local serve.RunSearch's, and re-running the
+// identical command, or only its first rung, must resume from it with
+// zero re-evaluation and leave its bytes alone.
 func TestFleetSearch(t *testing.T) {
 	spec := dse.SearchSpec{Space: fleetSpec().Space, Rungs: []int{8, 1}, Eta: 2}
 	var workers []string
@@ -99,13 +100,12 @@ func TestFleetSearch(t *testing.T) {
 	}
 
 	// Every rung shares the one checkpoint, which ends holding exactly the
-	// bytes a local one-evaluator search writes to a fresh file.
+	// bytes a local search writes to a fresh file.
 	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 || files[0] != ck {
 		t.Fatalf("search left files %v, want only %s", files, ck)
 	}
 	local := spec
 	local.Checkpoint = filepath.Join(t.TempDir(), "local.jsonl")
-	local.Jobs = 1
 	if _, err := serve.RunSearch(context.Background(), local, serve.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +141,20 @@ func TestFleetSearch(t *testing.T) {
 		if again.Survivors[i] != sr.Survivors[i] {
 			t.Fatal("resumed survivor set drifted")
 		}
+	}
+
+	// Rerunning the first rung alone finds every record in the checkpoint,
+	// merges nothing, and so writes nothing: its block stays ahead of the
+	// final rung's.
+	rung, err := Run(context.Background(), spec.RungSpec(0, nil), cfg)
+	if err != nil {
+		t.Fatalf("rung rerun: %v", err)
+	}
+	if rung.Fresh != 0 || rung.Resumed != len(spec.Points()) {
+		t.Fatalf("rung rerun: fresh=%d resumed=%d, want 0/%d", rung.Fresh, rung.Resumed, len(spec.Points()))
+	}
+	if got, err := os.ReadFile(ck); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("rung rerun that merged nothing changed the checkpoint (err %v)", err)
 	}
 }
 

@@ -19,14 +19,15 @@ import (
 type RunOptions struct {
 	// Cache, when non-nil, is consulted for every unit of the spec's sweep
 	// (dse.Config.Units) before the sweep starts — hits are adopted without
-	// simulation — and receives every fresh record as it completes.
+	// simulation — and receives every fresh record once it is committed.
 	Cache *Cache
 
-	// OnRecord, when non-nil, observes every record the run contributes, as
-	// soon as it is known: cache hits first (before the sweep starts), then
-	// fresh evaluations in completion order. Records recovered from a spec
-	// checkpoint are not streamed here — they surface in the final result
-	// set. Calls are serialized.
+	// OnRecord, when non-nil, observes every record the run contributes:
+	// cache hits first (before the sweep starts), then fresh evaluations in
+	// unit order, each once it is durable in the spec's checkpoint (see
+	// dse.Config.OnRecord). Records recovered from a spec checkpoint are not
+	// streamed here — they surface in the final result set. Calls are
+	// serialized.
 	OnRecord func(dse.Record)
 }
 
@@ -74,9 +75,9 @@ func Run(ctx context.Context, spec dse.SweepSpec, opt RunOptions) (*RunResult, e
 	}
 	if opt.Cache != nil || opt.OnRecord != nil {
 		cache, emit := opt.Cache, opt.OnRecord
-		// Called under the sweep's internal lock: the counter and the
-		// callback need no extra synchronization, and the lock's release at
-		// Sweep return publishes them to this goroutine.
+		// dse.Sweep makes these calls one at a time, and all of them before
+		// it returns: the counter and the callback need no extra
+		// synchronization.
 		cfg.OnRecord = func(rec dse.Record) {
 			res.CacheMisses++
 			if cache != nil {
