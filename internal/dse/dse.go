@@ -10,7 +10,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/bundle"
 	"repro/internal/hw"
-	"repro/internal/sched"
 	"repro/internal/transformer"
 	"repro/internal/workload"
 )
@@ -125,8 +124,8 @@ func (r Record) NonGroupTotal(exclude string) hw.Result {
 }
 
 // DigestKey renders a point digest the way checkpoints and record lines
-// store it (%016x) — the key Dedup and the result cache speak. DigestKeys
-// renders a whole point set.
+// store it (%016x) — the key Plan adoption and the result cache speak.
+// DigestKeys renders a whole point set.
 func DigestKey(p Point) string { return fmt.Sprintf("%016x", p.Digest()) }
 
 // Evaluate simulates one point at the given trace seed and returns its
@@ -178,8 +177,8 @@ type Config struct {
 
 	// Checkpoint is the JSONL record file. Non-empty makes the sweep
 	// resumable: points whose digest already appears in the file are not
-	// re-evaluated, and fresh evaluations are appended in unit order (see
-	// Committer), so the file's bytes do not depend on Jobs.
+	// re-evaluated (see Plan for the adoption rule), and fresh evaluations
+	// are appended in unit order, so the file's bytes do not depend on Jobs.
 	Checkpoint string
 
 	// Shard i of Shards partitions the point set deterministically by
@@ -192,9 +191,9 @@ type Config struct {
 	Jobs int // parallel evaluators (<=0 → GOMAXPROCS)
 
 	// Fidelity is the trace-scale divisor every evaluation runs at (0 or 1 =
-	// full fidelity). Checkpoint and Preloaded adoption is fidelity-scoped
-	// exactly as it is seed-scoped: a cheap proxy record never satisfies a
-	// full-fidelity sweep, and vice versa.
+	// full fidelity). Adoption of checkpointed and cached records is
+	// fidelity-scoped exactly as it is seed-scoped: a cheap proxy record
+	// never satisfies a full-fidelity sweep, and vice versa.
 	Fidelity int
 
 	// Select, when non-nil, restricts evaluation to points whose digest
@@ -204,15 +203,10 @@ type Config struct {
 	// unrestricted sweep's.
 	Select []string
 
-	// Preloaded seeds the sweep with records that are already known — the
-	// serving layer's digest-addressed result cache. They are adopted under
-	// the same rule as checkpoint records (Dedup.Add) without
-	// re-evaluation; they are not re-appended to the checkpoint (they are
-	// already durable wherever they came from).
-	Preloaded []Record
-
 	// OnRecord, when non-nil, observes every *fresh* evaluation, with its
 	// enumeration index set, once the record is durable in the checkpoint.
+	// Records the plan adopted — from the checkpoint or a result cache (see
+	// Plan.Adopt) — are not passed to it.
 	// Calls come one at a time and in unit order, so the callback may touch
 	// shared state without further synchronization; they are not made under
 	// a lock any evaluator waits on, so a slow callback does not stall the
@@ -240,9 +234,9 @@ func (c *Config) normalize() error {
 // i mod Shards) and whose digest passes Select. Seeded-random samples repeat
 // coordinates; each digest is one unit, owned by exactly one shard, so n
 // shards of the same spec together evaluate exactly the units of the
-// unsharded sweep. Every runner — Sweep, the serving layer's cache preload,
-// the fleet coordinator's shard inventory, the search candidate list — takes
-// its work list from here.
+// unsharded sweep. Every runner — a Plan's to-do list, the fleet
+// coordinator's shard inventory, the search candidate list — takes its work
+// list from here.
 func (c Config) Units(points []Point) []int { return c.units(DigestKeys(points)) }
 
 // units is Units over the points' digest keys.
@@ -332,72 +326,25 @@ func digestSet(digests []string) map[string]bool {
 type ResultSet struct {
 	Points  []Point
 	Records []Record
-	// Evaluated counts the points this Sweep call simulated fresh; the
-	// remaining Records were recovered from the checkpoint.
+	// Evaluated counts the records this run committed fresh; the remaining
+	// Records were adopted from the checkpoint or the result cache.
 	Evaluated int
 }
 
 // Complete reports whether every point of the set has a record.
 func (rs *ResultSet) Complete() bool { return len(rs.Records) == len(rs.Points) }
 
-// Sweep evaluates the units of cfg (see Config.Units) that are not already
-// checkpointed or preloaded, committing the records to the checkpoint in
-// unit order, and returns the merged result set. On cancellation the sweep
-// waits for the evaluations in flight, commits them, and returns the error;
-// a later call with the same arguments resumes where the sweep stopped.
+// Sweep runs one Plan: it evaluates the units of cfg the checkpoint does not
+// hold, commits their records in unit order, and returns the merged result
+// set. On cancellation it waits for the evaluations in flight, commits
+// them, and returns the error; a later call with the same arguments resumes
+// where the sweep stopped.
 func Sweep(ctx context.Context, points []Point, cfg Config) (*ResultSet, error) {
-	if err := cfg.normalize(); err != nil {
+	p, err := OpenPlan(points, cfg)
+	if err != nil {
 		return nil, err
 	}
-	// Checkpoint and preloaded records are adopted under Dedup's rule: a
-	// record from a different trace seed or fidelity describes a different
-	// experiment, and a malformed one simply re-evaluates. Digests key the
-	// adoption so a checkpoint survives re-ordering of the spec; indices are
-	// recomputed from the current enumeration.
-	done := NewDedupAt(cfg.Seed, cfg.Fidelity)
-	var ckpt *CheckpointWriter
-	if cfg.Checkpoint != "" {
-		var err error
-		if ckpt, err = OpenCheckpointWriter(cfg.Checkpoint); err != nil {
-			return nil, err
-		}
-		defer ckpt.Close()
-		for _, r := range ckpt.Records() {
-			done.Add(r)
-		}
-	}
-	for _, r := range cfg.Preloaded {
-		done.Add(r)
-	}
-	keys := DigestKeys(points)
-	var todo []int
-	for _, i := range cfg.units(keys) {
-		if _, ok := done.Get(keys[i]); !ok {
-			todo = append(todo, i)
-		}
-	}
-
-	commit := NewCommitter(ckpt, len(todo), cfg.OnRecord)
-	err := sched.Map(ctx, len(todo), cfg.Jobs, func(k int) error {
-		i := todo[k]
-		rec := EvaluateAt(points[i], cfg.Seed, cfg.Fidelity)
-		rec.Index = i
-		return commit.Commit(k, rec)
-	})
-	fresh := commit.Committed()
-	for _, rec := range fresh {
-		done.recs[rec.Digest] = rec // fresh by construction: todo skips adopted digests
-	}
-
-	// One record per occurrence of every selected point that has one (this
-	// shard's units, or another shard's found in a shared checkpoint).
-	rs := &ResultSet{Points: points, Evaluated: len(fresh)}
-	sel := digestSet(cfg.Select)
-	for i, key := range keys {
-		if rec, ok := done.Get(key); ok && (sel == nil || sel[key]) {
-			rec.Index = i
-			rs.Records = append(rs.Records, rec)
-		}
-	}
-	return rs, err
+	defer p.Close()
+	err = p.Run(ctx)
+	return p.Result(), err
 }

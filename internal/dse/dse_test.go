@@ -221,31 +221,45 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 
 	dir := t.TempDir()
 	const shards = 3
-	union := NewDedupAt(1, 0)
+	var union []byte
 	var totalRecords int
 	for i := 0; i < shards; i++ {
-		ckpt := filepath.Join(dir, "shard.jsonl")
+		ckpt := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
 		rs, err := Sweep(context.Background(), points,
-			Config{Seed: 1, Shard: i, Shards: shards,
-				Checkpoint: ckpt + string(rune('0'+i))})
+			Config{Seed: 1, Shard: i, Shards: shards, Checkpoint: ckpt})
 		if err != nil {
 			t.Fatal(err)
 		}
 		totalRecords += len(rs.Records)
-		// Re-load the shard's records from its checkpoint file so the union
-		// also exercises the JSON round trip.
-		recs, err := LoadCheckpoint(ckpt + string(rune('0'+i)))
+		data, err := os.ReadFile(ckpt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range recs {
-			union.Add(r)
-		}
+		union = append(union, data...)
 	}
 	if totalRecords != len(points) {
 		t.Fatalf("shards evaluated %d records want %d (overlap or gap)", totalRecords, len(points))
 	}
-	if merged := union.Ordered(points); !reflect.DeepEqual(merged, want.Records) {
+	assertMergedShards(t, filepath.Join(dir, "union.jsonl"), union, points, want.Records)
+}
+
+// assertMergedShards writes the concatenated shard checkpoints to path and
+// runs one unsharded sweep over it: the sweep must evaluate nothing and
+// return exactly want, bit for bit (the merge also exercises the JSON round
+// trip).
+func assertMergedShards(t *testing.T, path string, union []byte, points []Point, want []Record) {
+	t.Helper()
+	if err := os.WriteFile(path, union, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := Sweep(context.Background(), points, Config{Seed: 1, Checkpoint: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Evaluated != 0 {
+		t.Fatalf("sweep over the shard union evaluated %d points, want 0", merged.Evaluated)
+	}
+	if !reflect.DeepEqual(merged.Records, want) {
 		t.Fatal("shard union must equal the unsharded sweep bit-for-bit")
 	}
 }
@@ -485,27 +499,28 @@ func TestSweepSharedTraceStoreBitIdentical(t *testing.T) {
 	// Two shards sharing one on-disk trace set. The cache reset between
 	// shards makes each behave like a separate process: shard 0 generates
 	// and persists, shard 1 must load what shard 0 stored.
-	dir := t.TempDir()
+	dir, ckptDir := t.TempDir(), t.TempDir()
+	ckpt0, ckpt1 := filepath.Join(ckptDir, "shard0.jsonl"), filepath.Join(ckptDir, "shard1.jsonl")
 	workload.ResetTraceCache()
 	workload.SetTraceDir(dir)
-	s0, err := Sweep(ctx, points, Config{Seed: 1, Shards: 2, Shard: 0})
-	if err != nil {
+	if _, err := Sweep(ctx, points, Config{Seed: 1, Shards: 2, Shard: 0, Checkpoint: ckpt0}); err != nil {
 		t.Fatal(err)
 	}
 	workload.ResetTraceCache()
-	s1, err := Sweep(ctx, points, Config{Seed: 1, Shards: 2, Shard: 1})
-	if err != nil {
+	if _, err := Sweep(ctx, points, Config{Seed: 1, Shards: 2, Shard: 1, Checkpoint: ckpt1}); err != nil {
 		t.Fatal(err)
 	}
 	if h, _, e := workload.TraceStoreStats(); h == 0 || e != 0 {
 		t.Fatalf("shard 1 should hit the shared store: hits=%d errors=%d", h, e)
 	}
 
-	union := NewDedupAt(1, 0)
-	for _, r := range append(s0.Records, s1.Records...) {
-		union.Add(r)
+	var union []byte
+	for _, ckpt := range []string{ckpt0, ckpt1} {
+		data, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		union = append(union, data...)
 	}
-	if merged := union.Ordered(points); !reflect.DeepEqual(full.Records, merged) {
-		t.Fatal("shared-trace-store shards differ from the regenerating sweep")
-	}
+	assertMergedShards(t, filepath.Join(ckptDir, "union.jsonl"), union, points, full.Records)
 }

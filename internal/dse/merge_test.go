@@ -71,47 +71,68 @@ func TestParseRecordLine(t *testing.T) {
 	}
 }
 
-// TestDedup pins seed scoping, validity, digest dedup, and
-// enumeration-ordered merge.
+// TestDedup pins the plan's adoption rule through checkpoint lines: a
+// record of another seed or fidelity and a malformed record are not
+// adopted, the first copy of a digest wins, and the result set is in
+// enumeration order with indices rebound.
 func TestDedup(t *testing.T) {
 	pts := mergeTestPoints(t)
 	r0, r1 := Evaluate(pts[0], 1), Evaluate(pts[1], 1)
-	d := NewDedupAt(1, 0)
-	if !d.Add(r0) {
-		t.Fatal("fresh record rejected")
-	}
-	if d.Add(r0) {
-		t.Fatal("duplicate digest admitted")
-	}
+	later := r0
+	later.LatencyMS++ // a second copy of r0's digest
 	wrong := r1
 	wrong.Seed = 2
-	if d.Add(wrong) {
-		t.Fatal("wrong-seed record admitted")
-	}
 	proxy := r1
 	proxy.Fidelity = 4
-	if d.Add(proxy) {
-		t.Fatal("wrong-fidelity record admitted")
-	}
 	malformed := r1
 	malformed.Opt = nil // a bishop record without its options
-	if d.Add(malformed) {
-		t.Fatal("malformed record admitted")
+	ckpt := filepath.Join(t.TempDir(), "dedup.jsonl")
+	writeRecordLines(t, ckpt, r0, later, wrong, proxy, malformed)
+
+	p, err := OpenPlan(pts, Config{Seed: 1, Checkpoint: ckpt})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !d.Add(r1) {
-		t.Fatal("second fresh record rejected")
+	if got := p.Todo(); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("todo = %v, want [1]: a wrong-seed, wrong-fidelity or malformed record was adopted", got)
 	}
-	if got, ok := d.Get(r1.Digest); !ok || got.Total != r1.Total {
-		t.Fatal("admitted record not returned by Get")
+	p.Close()
+
+	writeRecordLines(t, ckpt, r0, later, wrong, proxy, malformed, r1)
+	p, err = OpenPlan(pts, Config{Seed: 1, Checkpoint: ckpt})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ordered := d.Ordered(pts)
-	if len(ordered) != 2 {
-		t.Fatalf("ordered merge has %d records", len(ordered))
+	defer p.Close()
+	if got := p.Todo(); len(got) != 0 {
+		t.Fatalf("todo = %v, want none", got)
 	}
-	for i, rec := range ordered {
+	rs := p.Result()
+	if rs.Evaluated != 0 || len(rs.Records) != 2 {
+		t.Fatalf("result: evaluated %d, %d records; want 0, 2", rs.Evaluated, len(rs.Records))
+	}
+	if rs.Records[0].LatencyMS != r0.LatencyMS {
+		t.Fatal("a later copy of a digest replaced the first")
+	}
+	for i, rec := range rs.Records {
 		if rec.Index != i || rec.Digest != DigestKey(pts[i]) {
-			t.Fatalf("ordered[%d] = index %d digest %s", i, rec.Index, rec.Digest)
+			t.Fatalf("record %d = index %d digest %s", i, rec.Index, rec.Digest)
 		}
+	}
+}
+
+// writeRecordLines writes recs to path as a checkpoint, one line each.
+func writeRecordLines(t *testing.T, path string, recs ...Record) {
+	t.Helper()
+	var data []byte
+	for _, rec := range recs {
+		var err error
+		if data, err = AppendRecordLine(data, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

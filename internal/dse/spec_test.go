@@ -87,10 +87,12 @@ func TestSpecPointsMatchSpace(t *testing.T) {
 	}
 }
 
-// TestSweepPreloadedAndOnRecord pins the serving-layer contract: preloaded
-// records are adopted without re-evaluation, OnRecord observes exactly the
-// fresh evaluations, and the merged set is identical to a cold sweep.
-func TestSweepPreloadedAndOnRecord(t *testing.T) {
+// TestPlanAdoptAndOnRecord pins the serving-layer contract: records
+// adopted through Plan.Adopt (result cache hits) are not re-evaluated and
+// not passed to OnRecord, OnRecord observes exactly the fresh evaluations,
+// the merged set is identical to a cold sweep, and an adopted record must
+// pass the same rule as a checkpoint line.
+func TestPlanAdoptAndOnRecord(t *testing.T) {
 	spec := SweepSpec{Space: Space{Models: []int{4}, ECPThetas: []int{0, 10}}, Seed: 1}
 	points := spec.Points()
 	cold, err := Sweep(context.Background(), points, spec.Config())
@@ -103,38 +105,48 @@ func TestSweepPreloadedAndOnRecord(t *testing.T) {
 
 	var streamed []Record
 	cfg := spec.Config()
-	cfg.Preloaded = cold.Records[:1]
 	cfg.OnRecord = func(r Record) { streamed = append(streamed, r) }
-	warm, err := Sweep(context.Background(), points, cfg)
+	p, err := OpenPlan(points, cfg)
 	if err != nil {
-		t.Fatalf("warm sweep: %v", err)
+		t.Fatal(err)
 	}
+	if n := p.Adopt(cold.Records[:1]); n != 1 {
+		t.Fatalf("adopted %d records, want 1", n)
+	}
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	warm := p.Result()
 	if want := len(points) - 1; warm.Evaluated != want {
-		t.Fatalf("warm sweep evaluated %d points, want %d", warm.Evaluated, want)
+		t.Fatalf("warm run evaluated %d points, want %d", warm.Evaluated, want)
 	}
 	if len(streamed) != warm.Evaluated {
 		t.Fatalf("OnRecord saw %d records, want %d", len(streamed), warm.Evaluated)
 	}
 	for _, s := range streamed {
 		if s.Digest == cold.Records[0].Digest {
-			t.Fatal("OnRecord observed a preloaded record")
+			t.Fatal("OnRecord observed an adopted record")
 		}
 	}
 	if !reflect.DeepEqual(mustMarshalRecords(t, warm.Records), mustMarshalRecords(t, cold.Records)) {
-		t.Fatal("preloaded sweep records differ from cold sweep")
+		t.Fatal("adopting run's records differ from cold sweep")
 	}
 
-	// A preloaded record at the wrong seed must not satisfy a point.
+	// An adopted record at the wrong seed must not satisfy a point.
 	stale := cold.Records[0]
 	stale.Seed = 99
-	cfg = spec.Config()
-	cfg.Preloaded = []Record{stale}
-	again, err := Sweep(context.Background(), points, cfg)
+	p, err = OpenPlan(points, spec.Config())
 	if err != nil {
-		t.Fatalf("stale-preload sweep: %v", err)
+		t.Fatal(err)
 	}
-	if again.Evaluated != len(points) {
-		t.Fatalf("stale preloaded record satisfied a point (evaluated %d, want %d)", again.Evaluated, len(points))
+	if n := p.Adopt([]Record{stale}); n != 0 {
+		t.Fatalf("adopted %d stale records", n)
+	}
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatalf("stale-adopt run: %v", err)
+	}
+	if again := p.Result(); again.Evaluated != len(points) {
+		t.Fatalf("stale adopted record satisfied a point (evaluated %d, want %d)", again.Evaluated, len(points))
 	}
 }
 

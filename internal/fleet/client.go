@@ -5,9 +5,10 @@
 // exponential backoff and jitter (honoring Retry-After on 429) behind a
 // per-worker circuit breaker; the lease table declares a worker that stops
 // streaming records past its TTL stalled and re-leases its shard; and the
-// streaming merger digest-dedups the overlap re-delivered shards inevitably
-// produce into one durable JSONL checkpoint that is byte-identical to an
-// unsharded dse.Sweep and resumable after a coordinator SIGKILL.
+// coordinator commits the streamed records through the sweep's dse.Plan,
+// which drops the overlap re-delivered shards inevitably produce, into one
+// durable JSONL checkpoint that is byte-identical to an unsharded dse.Sweep
+// and resumable after a coordinator SIGKILL.
 package fleet
 
 import (

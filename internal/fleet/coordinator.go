@@ -22,9 +22,9 @@ type Config struct {
 	Workers []string
 	// Shards is the shard count (default: one per worker).
 	Shards int
-	// Checkpoint is the durable merged JSONL file. Merged records are
-	// committed in unit order through a dse.Committer, after every record
-	// the file already holds, so the file ends byte-identical to the
+	// Checkpoint is the durable merged JSONL file: the checkpoint of the
+	// run's dse.Plan, which commits merged records in unit order after every
+	// record the file already holds, so the file ends byte-identical to the
 	// checkpoint an unsharded dse.Sweep of the same spec leaves over it. A
 	// record that arrives ahead of an uncommitted unit waits in memory; a
 	// coordinator killed mid-run resumes from the committed prefix, and the
@@ -40,8 +40,8 @@ type Config struct {
 	// Worker tunes every worker client (timeouts, retry, breaker, jitter
 	// seed).
 	Worker WorkerConfig
-	// OnRecord, when set, observes every fresh (deduplicated) record once
-	// it is durable in the checkpoint, one call at a time, in unit order.
+	// OnRecord, when set, observes the first delivery of every unit once it
+	// is durable in the checkpoint, one call at a time, in unit order.
 	OnRecord func(dse.Record)
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
@@ -66,6 +66,8 @@ type Result struct {
 	// Records is the merged record set in enumeration order — exactly what
 	// an unsharded dse.Sweep of the spec produces.
 	Records []dse.Record
+	// set is the plan's result set, which RunSearch hands to dse.Search.
+	set *dse.ResultSet
 	// Points is the size of the spec's point set (unique digests may be
 	// fewer when a sampled space repeats coordinates).
 	Points int
@@ -84,20 +86,11 @@ type Result struct {
 type coordinator struct {
 	cfg    Config
 	spec   dse.SweepSpec
-	shards [][]int  // unit indices per shard (dse.Config.Units)
-	keys   []string // digest key per point
+	shards [][]int // unit indices per shard (dse.Config.Units)
 	table  *leaseTable
-
-	// todo lists the units the run must merge (those the checkpoint did not
-	// already hold), in unit order; pos maps each one's digest to its
-	// position in todo, the position commit files it at.
-	todo   []int
-	pos    map[string]int
-	commit *dse.Committer
+	plan   *dse.Plan
 
 	mu       sync.Mutex
-	dedup    *dse.Dedup
-	fresh    int
 	byWorker map[string]int
 }
 
@@ -107,8 +100,9 @@ func (c *coordinator) logf(format string, args ...any) {
 	}
 }
 
-// ingest merges one record line from a worker: parse, dedup, commit. The
-// error is the checkpoint's append failure, which aborts the run.
+// ingest merges one record line from a worker: parse, then commit at its
+// digest's plan position (a re-delivered record is dropped). The error is
+// the checkpoint's append failure, which aborts the run.
 func (c *coordinator) ingest(worker string, line []byte) error {
 	rec, ok := dse.ParseRecordLine(line)
 	if !ok {
@@ -118,30 +112,23 @@ func (c *coordinator) ingest(worker string, line []byte) error {
 		// keeps the shard incomplete until a good copy arrives.
 		return nil
 	}
-	k, ok := c.pos[rec.Digest]
+	k, ok := c.plan.Position(rec.Digest)
 	if !ok {
 		return nil // not a unit this run still has to merge
 	}
-	c.mu.Lock()
-	fresh := c.dedup.Add(rec)
+	fresh, err := c.plan.Commit(k, rec)
 	if fresh {
-		c.fresh++
+		c.mu.Lock()
 		c.byWorker[worker]++
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
-	if !fresh {
-		return nil
-	}
-	rec.Index = c.todo[k]
-	return c.commit.Commit(k, rec)
+	return err
 }
 
-// covered reports whether every unit of the shard is merged.
+// covered reports whether every unit of the shard has a record.
 func (c *coordinator) covered(shard int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, i := range c.shards[shard] {
-		if _, ok := c.dedup.Get(c.keys[i]); !ok {
+		if !c.plan.Has(i) {
 			return false
 		}
 	}
@@ -185,7 +172,7 @@ func (c *coordinator) runShard(ctx context.Context, w *Worker, shard, gen int) e
 		offset += n
 		if serr != nil {
 			if errors.Is(serr, errLeaseLost) || errors.Is(serr, context.Canceled) ||
-				ctx.Err() != nil || c.commit.Err() != nil {
+				ctx.Err() != nil || c.plan.Err() != nil {
 				return serr
 			}
 			// Transient stream fault (truncation, reset, worker death):
@@ -200,7 +187,7 @@ func (c *coordinator) runShard(ctx context.Context, w *Worker, shard, gen int) e
 		if st.Records < offset {
 			// The job was revived (a fresh run under the same ID): its record
 			// log restarted, so our offset is from a previous incarnation.
-			// Replay from zero — the digest dedup absorbs every duplicate.
+			// Replay from zero — the plan drops every record it already holds.
 			c.logf("fleet: %s shard %d: job restarted (run %d), replaying log", w.Name, shard, st.Runs)
 			offset = 0
 			continue
@@ -247,7 +234,7 @@ func (c *coordinator) runWorker(ctx context.Context, w *Worker) {
 			continue
 		}
 		c.table.release(shard, gen)
-		if ctx.Err() != nil || c.commit.Err() != nil {
+		if ctx.Err() != nil || c.plan.Err() != nil {
 			return
 		}
 		c.logf("fleet: %s shard %d: released: %v", w.Name, shard, err)
@@ -289,42 +276,29 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		shards[s] = sc.Units(points)
 	}
 
-	ckpt, err := dse.OpenCheckpointWriter(cfg.Checkpoint)
+	// The file may also hold other seeds, fidelities or points (a shared
+	// search checkpoint, an earlier sweep): they stay in place, and the
+	// plan's result set holds only the spec's points.
+	pc := spec.Config()
+	pc.Checkpoint, pc.OnRecord = cfg.Checkpoint, cfg.OnRecord
+	plan, err := dse.OpenPlan(points, pc)
 	if err != nil {
 		return Result{}, err
 	}
-	defer ckpt.Close()
+	defer plan.Close()
 
 	c := &coordinator{
 		cfg:      cfg,
 		spec:     spec,
 		shards:   shards,
-		keys:     dse.DigestKeys(points),
 		table:    newLeaseTable(cfg.Shards, cfg.LeaseTTL, nil),
-		dedup:    dse.NewDedupAt(spec.Seed, spec.Fidelity),
-		pos:      map[string]int{},
+		plan:     plan,
 		byWorker: map[string]int{},
 	}
-	// Only records of this run's units are adopted, under Dedup's rule: the
-	// file may also hold other seeds, fidelities or points (a shared search
-	// checkpoint, an earlier sweep), which stay in place but the result set
-	// must not include. The units the file does not hold are the plan.
-	held := dse.NewDedupAt(spec.Seed, spec.Fidelity)
-	for _, rec := range ckpt.Records() {
-		held.Add(rec)
-	}
-	resumed := 0
-	for _, i := range spec.Config().Units(points) {
-		if rec, ok := held.Get(c.keys[i]); ok {
-			c.dedup.Add(rec)
-			resumed++
-		} else {
-			c.pos[c.keys[i]] = len(c.todo)
-			c.todo = append(c.todo, i)
-		}
-	}
-	c.commit = dse.NewCommitter(ckpt, len(c.todo), cfg.OnRecord)
-	for i := range shards {
+	// The shards partition the units; those not in Todo were resumed.
+	resumed := -len(plan.Todo())
+	for i, units := range shards {
+		resumed += len(units)
 		if c.covered(i) {
 			c.table.markDone(i)
 		}
@@ -382,7 +356,7 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		<-reaperDone
 	}
 
-	if err := c.commit.Err(); err != nil {
+	if err := c.plan.Err(); err != nil {
 		return Result{}, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -392,11 +366,13 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("fleet: %d shards incomplete (all workers exhausted)", n)
 	}
 
+	set := plan.Result()
 	res := Result{
-		Records:       c.dedup.Ordered(points),
+		Records:       set.Records,
+		set:           set,
 		Points:        len(points),
 		Resumed:       resumed,
-		Fresh:         c.fresh,
+		Fresh:         set.Evaluated,
 		ReLeases:      reLeases,
 		WorkerRecords: c.byWorker,
 	}

@@ -9,8 +9,8 @@ import (
 
 // RunSearch executes a successive-halving search across the fleet: every
 // rung of the ladder is an ordinary fleet.Run of that rung's sweep spec —
-// sharded over the workers, leased under TTL heartbeats, merged with
-// fidelity-scoped dedup — and promotion between rungs happens on the
+// sharded over the workers, leased under TTL heartbeats, merged through a
+// fidelity-scoped dse.Plan — and promotion between rungs happens on the
 // coordinator. All rungs share cfg.Checkpoint, as in a local search:
 // records are fidelity-tagged and each rung appends its records in unit
 // order after the lines the file already holds, so the file ends
@@ -25,6 +25,6 @@ func RunSearch(ctx context.Context, spec dse.SearchSpec, cfg Config) (*dse.Searc
 		if err != nil {
 			return nil, err
 		}
-		return &dse.ResultSet{Points: sw.Points(), Records: res.Records, Evaluated: res.Fresh}, nil
+		return res.set, nil
 	})
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/dse"
 )
 
 // TestCacheIgnoresStaleTempFiles pins crash robustness of the cache
@@ -136,6 +138,32 @@ func TestCacheCorruptOverwriteIsMissThenRepaired(t *testing.T) {
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), ".tmp-") {
 			t.Errorf("racing writers leaked temp file %q", e.Name())
+		}
+	}
+}
+
+// TestRunSkipsCacheForCheckpointedUnits pins that the result cache is read
+// only for units the spec's checkpoint does not hold: a rerun over a
+// complete checkpoint recovers every record from the file, so it reports
+// no cache hit, streams nothing through OnRecord and evaluates nothing.
+func TestRunSkipsCacheForCheckpointedUnits(t *testing.T) {
+	cache := &Cache{Dir: t.TempDir()}
+	spec := tinySpec()
+	spec.Checkpoint = filepath.Join(t.TempDir(), "sweep.jsonl")
+	n := len(spec.Points())
+	for run := range 2 {
+		streamed := 0
+		res, err := Run(context.Background(), spec, RunOptions{Cache: cache, OnRecord: func(dse.Record) { streamed++ }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := n // the first run evaluates and streams every unit
+		if run == 1 {
+			want = 0
+		}
+		if res.CacheHits != 0 || streamed != want || res.Set.Evaluated != want || !res.Set.Complete() {
+			t.Fatalf("run %d: %d cache hits, %d streamed, %d evaluated, complete %v; want 0, %d, %d, true",
+				run, res.CacheHits, streamed, res.Set.Evaluated, res.Set.Complete(), want, want)
 		}
 	}
 }

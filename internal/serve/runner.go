@@ -17,17 +17,17 @@ import (
 
 // RunOptions attaches the serving-layer machinery to one spec execution.
 type RunOptions struct {
-	// Cache, when non-nil, is consulted for every unit of the spec's sweep
-	// (dse.Config.Units) before the sweep starts — hits are adopted without
-	// simulation — and receives every fresh record once it is committed.
+	// Cache, when non-nil, is consulted before evaluation for every unit
+	// its checkpoint does not hold (dse.Plan.Todo) — hits are adopted
+	// without simulation — and receives every fresh record once committed.
 	Cache *Cache
 
 	// OnRecord, when non-nil, observes every record the run contributes:
-	// cache hits first (before the sweep starts), then fresh evaluations in
-	// unit order, each once it is durable in the spec's checkpoint (see
+	// cache hits first (before evaluation starts), then fresh evaluations
+	// in unit order, each once it is durable in the spec's checkpoint (see
 	// dse.Config.OnRecord). Records recovered from a spec checkpoint are not
-	// streamed here — they surface in the final result set. Calls are
-	// serialized.
+	// streamed here, and the cache is not read for them — they surface in
+	// the final result set. Calls are serialized.
 	OnRecord func(dse.Record)
 }
 
@@ -46,9 +46,11 @@ type RunResult struct {
 
 // Run executes a sweep spec: validates it, points the process-wide trace
 // store at the spec's trace directory (when set), enumerates the point set,
-// adopts cached records, and drives dse.Sweep under ctx. Both cmd/dse and
-// the daemon call exactly this function, which is what pins their record
-// sets byte-identical for identical specs.
+// opens the sweep's dse.Plan (adopting the checkpoint), adopts cached
+// records for the units still missing, and evaluates the rest under ctx —
+// what dse.Sweep does, plus the cache. Both cmd/dse and the daemon call
+// exactly this function, which is what pins their record sets
+// byte-identical for identical specs.
 func Run(ctx context.Context, spec dse.SweepSpec, opt RunOptions) (*RunResult, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
@@ -60,23 +62,10 @@ func Run(ctx context.Context, spec dse.SweepSpec, opt RunOptions) (*RunResult, e
 	points := spec.Points()
 	cfg := spec.Config()
 	res := &RunResult{}
-
-	if opt.Cache != nil {
-		for _, i := range cfg.Units(points) {
-			if rec, ok := opt.Cache.LoadAt(dse.DigestKey(points[i]), cfg.Seed, cfg.Fidelity); ok {
-				rec.Index = i
-				cfg.Preloaded = append(cfg.Preloaded, rec)
-				res.CacheHits++
-				if opt.OnRecord != nil {
-					opt.OnRecord(rec)
-				}
-			}
-		}
-	}
 	if opt.Cache != nil || opt.OnRecord != nil {
 		cache, emit := opt.Cache, opt.OnRecord
-		// dse.Sweep makes these calls one at a time, and all of them before
-		// it returns: the counter and the callback need no extra
+		// The plan makes these calls one at a time, and all of them before
+		// Run returns: the counter and the callback need no extra
 		// synchronization.
 		cfg.OnRecord = func(rec dse.Record) {
 			res.CacheMisses++
@@ -88,9 +77,27 @@ func Run(ctx context.Context, spec dse.SweepSpec, opt RunOptions) (*RunResult, e
 			}
 		}
 	}
+	plan, err := dse.OpenPlan(points, cfg)
+	if err != nil {
+		return res, err
+	}
+	defer plan.Close()
 
-	rs, err := dse.Sweep(ctx, points, cfg)
-	res.Set = rs
+	if opt.Cache != nil {
+		var hits []dse.Record
+		for _, i := range plan.Todo() {
+			if rec, ok := opt.Cache.LoadAt(dse.DigestKey(points[i]), cfg.Seed, cfg.Fidelity); ok {
+				rec.Index = i
+				hits = append(hits, rec)
+				if opt.OnRecord != nil {
+					opt.OnRecord(rec)
+				}
+			}
+		}
+		res.CacheHits = plan.Adopt(hits)
+	}
+	err = plan.Run(ctx)
+	res.Set = plan.Result()
 	return res, err
 }
 
