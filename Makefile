@@ -25,7 +25,9 @@ bench:
 
 # Benchmark-regression gate (cmd/benchdiff): an interleaved A/B of the
 # hot-path benchmarks — the popcount kernel, TTB tagging, spike-driven GEMM,
-# steady-state simulator, the 12-point sweep grid — between the commit
+# the steady-state simulator (a statistics-memo hit), the simulator filling
+# a fresh trace's memo over a search rung's option sets, the 12-point sweep
+# grid — between the commit
 # BENCH_BASE (a git ref; CI passes HEAD^1) and the working tree. The base is
 # extracted with `git archive` into a temp directory outside the module, and
 # each gated package's test binary is built once per side. For 20 rounds,
@@ -41,7 +43,7 @@ bench:
 # while the multi-ms simulator and sweep benchmarks still finish promptly.
 BENCH_BASE ?= HEAD
 BENCH_GATE_PKGS = spike bundle snn accel dse
-BENCH_GATE_RUN = -test.run='^$$' -test.bench='Kernel|Retag|LinearForwardSpikes|SimulatorSteadyState|SweepGrid' \
+BENCH_GATE_RUN = -test.run='^$$' -test.bench='Kernel|Retag|LinearForwardSpikes|SimulatorSteadyState|SimulatorColdRung|SweepGrid' \
 	-test.count=1 -test.benchtime=100ms -test.benchmem -test.timeout=2m
 bench-gate:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

@@ -9,12 +9,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -256,9 +259,10 @@ func TestDaemonStreamDrainAndRestart(t *testing.T) {
 
 // TestFleetSurvivesWorkerSIGKILL runs a sweep across three bishopd
 // processes, two of them behind fault-injecting proxies, and SIGKILLs the
-// third once the first record is merged: its shard is released to the
-// survivors, and the merged checkpoint is byte-identical to a
-// single-evaluator serve.Run checkpoint of the same spec.
+// third as the coordinator first asks it for a shard's records: its shard
+// is released to the survivors, and the merged checkpoint is
+// byte-identical to a single-evaluator serve.Run checkpoint of the same
+// spec.
 func TestFleetSurvivesWorkerSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts bishopd processes")
@@ -277,7 +281,34 @@ func TestFleetSurvivesWorkerSIGKILL(t *testing.T) {
 
 	cache := filepath.Join(dir, "cache")
 	victim := startDaemon(t, "-cache-dir", cache)
-	workers := []string{victim.addr}
+	// The victim sits behind a gate that kills it when its first record
+	// stream is asked for and answers every request from then on with 502,
+	// so the victim dies holding a leased shard whose records the
+	// coordinator never got. Killing it once the first record is merged
+	// instead let a fast victim stream its whole shard before any record
+	// was merged (records merge in unit order), and then there was nothing
+	// to release.
+	var killed atomic.Bool
+	target, err := url.Parse("http://" + victim.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toVictim := httputil.NewSingleHostReverseProxy(target)
+	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/records") && !killed.Swap(true) {
+			victim.cmd.Process.Kill()
+		}
+		if killed.Load() {
+			http.Error(w, "worker killed", http.StatusBadGateway)
+			return
+		}
+		toVictim.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		gate.CloseClientConnections()
+		gate.Close()
+	})
+	workers := []string{gate.URL}
 	for i := range 2 {
 		w := startDaemon(t, "-cache-dir", cache)
 		proxy := httptest.NewServer(faultproxy.New(faultproxy.Config{
@@ -292,17 +323,13 @@ func TestFleetSurvivesWorkerSIGKILL(t *testing.T) {
 	}
 
 	var log lockedBuffer
-	var kill sync.Once
 	ck := filepath.Join(dir, "merged.jsonl")
-	_, err := fleet.Run(context.Background(), spec, fleet.Config{
+	_, err = fleet.Run(context.Background(), spec, fleet.Config{
 		Workers:    workers,
 		Checkpoint: ck,
 		LeaseTTL:   5 * time.Second,
 		Worker:     fleet.WorkerConfig{RequestTimeout: 10 * time.Second, Seed: 1},
 		Logf:       func(format string, args ...any) { fmt.Fprintf(&log, format+"\n", args...) },
-		OnRecord: func(dse.Record) {
-			kill.Do(func() { victim.cmd.Process.Kill() })
-		},
 	})
 	if err != nil {
 		t.Fatalf("fleet run: %v\n%s", err, log.String())

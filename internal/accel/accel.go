@@ -65,7 +65,8 @@ func (o *Options) normalize() {
 }
 
 // simPool holds idle Simulators, so package-level Simulate calls reuse the
-// scratch of earlier ones instead of sizing fresh buffers every time.
+// layer buffer of earlier ones' reports instead of growing a fresh one
+// every time.
 var simPool = sync.Pool{New: func() any { return new(Simulator) }}
 
 // Simulate runs the trace through the Bishop model and returns a report the
@@ -78,7 +79,6 @@ func Simulate(tr *transformer.Trace, opt Options) *hw.Report {
 	sim.opt = opt
 	rep := *sim.Simulate(tr)
 	rep.Layers = slices.Clone(rep.Layers)
-	sim.tagged = nil // the pool must not keep the trace alive
 	simPool.Put(sim)
 	return &rep
 }

@@ -1,8 +1,8 @@
 package accel
 
-// Tests that tagging each linear input once per walk changes no report:
-// Wq, Wk and Wv read one tensor, and the Simulator tags, stratifies and
-// splits it only for the first of them.
+// Tests that tagging each linear input once per trace changes no report:
+// Wq, Wk and Wv read one tensor, and the trace's statistics memo tags it
+// once for all three.
 
 import (
 	"reflect"
@@ -17,14 +17,13 @@ import (
 // unshared returns a copy of tr in which every linear layer reads its own
 // clone of its input, so no two layers share an In pointer.
 func unshared(tr *transformer.Trace) *transformer.Trace {
-	cp := *tr
-	cp.Layers = slices.Clone(tr.Layers)
+	cp := &transformer.Trace{Cfg: tr.Cfg, Layers: slices.Clone(tr.Layers)}
 	for i := range cp.Layers {
 		if cp.Layers[i].In != nil {
 			cp.Layers[i].In = cp.Layers[i].In.Clone()
 		}
 	}
-	return &cp
+	return cp
 }
 
 // sharedInputs counts the linear layers whose In is the previous layer's.
@@ -65,15 +64,14 @@ func ecpModelTrace(t *testing.T) *transformer.Trace {
 // the input of the projection before it, so a shared input also meets a
 // different DOut.
 func rewired(tr *transformer.Trace) *transformer.Trace {
-	cp := *tr
-	cp.Layers = slices.Clone(tr.Layers)
+	cp := &transformer.Trace{Cfg: tr.Cfg, Layers: slices.Clone(tr.Layers)}
 	for i := 1; i < len(cp.Layers); i++ {
 		prev, l := cp.Layers[i-1], &cp.Layers[i]
 		if prev.Group == "P2" && l.Group == "MLP" && prev.In.D == l.In.D && prev.DOut != l.DOut {
 			l.In = prev.In
 		}
 	}
-	return &cp
+	return cp
 }
 
 func TestSharedInputMatchesUnshared(t *testing.T) {
@@ -104,10 +102,10 @@ func TestSharedInputMatchesUnshared(t *testing.T) {
 
 // TestPooledSimulateRetagsEveryWalk cycles one trace pointer through
 // option sets that change the tags (bundle shape) or what is derived from
-// them (stratification, ECP) on the pooled engine. A Simulator that kept
-// the previous walk's tagged input would reuse stale statistics whenever a
-// walk's first linear input is the last one of the walk before: so besides
-// a whole trace, it runs one holding only block 0's Wq, Wk and Wv.
+// them (stratification, ECP) on the pooled engine. Each walk must read the
+// statistics of its own shape, also when a walk's first linear input is the
+// last one of the walk before: so besides a whole trace, it runs one
+// holding only block 0's Wq, Wk and Wv.
 func TestPooledSimulateRetagsEveryWalk(t *testing.T) {
 	full := trace(4, false, 5)
 	qkv := &transformer.Trace{Cfg: full.Cfg, Layers: full.ByGroup("P1")[:3]}

@@ -7,33 +7,26 @@ import (
 	"repro/internal/hw/dense"
 	"repro/internal/hw/sparse"
 	"repro/internal/hw/spikegen"
-	"repro/internal/spike"
 	"repro/internal/transformer"
 )
 
-// Simulator is the Bishop simulation engine: it owns all working memory the
-// layer walk needs (tags, stratifier buffers, split statistics, ECP masks,
-// the report itself) and reuses it across calls, so steady-state
-// simulation — the inner loop of design-space sweeps — does not touch the
+// Simulator is the Bishop simulation engine. It reads every spike statistic
+// the layer walk needs — the per-feature activity of each linear input, the
+// per-row counts ECP thresholds — from the trace's statistics memo
+// (transformer.Trace.Stats), which tags each distinct tensor once per
+// bundle shape for the trace's lifetime. The first walk of a trace under a
+// shape fills the memo; every later walk, under any stratifier or ECP
+// setting, is the core models' arithmetic alone and does not touch the
 // heap. The walk is sequential. The package-level Simulate runs this same
 // walk on a pooled Simulator and copies the report out.
 //
 // The returned report and everything it references are owned by the
 // Simulator and valid until the next Simulate call. A Simulator is not safe
-// for concurrent use; give each worker its own.
+// for concurrent use; give each worker its own. Any number of Simulators
+// may walk one trace at once.
 type Simulator struct {
 	opt Options
 	rep hw.Report
-
-	// tagged is the input that tags, st, stratRes, dSt and sSt hold in the
-	// current walk, compared by pointer: Wq, Wk and Wv share one tensor.
-	tagged   *spike.Tensor
-	tags     bundle.Tags
-	strat    bundle.StratifyScratch
-	stratRes bundle.StratifyResult
-	st       hw.LinearStats
-	dSt, sSt hw.LinearStats
-	ecp      bundle.ECPScratch
 }
 
 // NewSimulator returns a Simulator with the options normalized once.
@@ -45,20 +38,32 @@ func NewSimulator(opt Options) *Simulator {
 // Options returns the normalized options the Simulator runs with.
 func (sim *Simulator) Options() Options { return sim.opt }
 
-// Simulate runs the trace through the Bishop model, reusing the
-// Simulator's scratch. The report is valid until the next call.
+// Simulate runs the trace through the Bishop model. The report is valid
+// until the next call.
 func (sim *Simulator) Simulate(tr *transformer.Trace) *hw.Report {
+	opt := &sim.opt
 	rep := &sim.rep
-	rep.Name, rep.Tech = "Bishop", sim.opt.Tech
+	rep.Name, rep.Tech = "Bishop", opt.Tech
 	rep.Total = hw.Result{}
 	rep.Layers = rep.Layers[:0]
-	sim.tagged = nil
-	for _, l := range tr.Layers {
+	lin := tr.Stats(opt.Shape).Linear()
+	var q, k []*bundle.RowActivity
+	if opt.ECP != nil {
+		q, k = tr.Stats(opt.ECP.Shape).Rows()
+	}
+	for i, l := range tr.Layers {
 		switch l.Kind {
 		case transformer.KindProjection, transformer.KindMLP:
-			rep.Layers = append(rep.Layers, sim.linear(l))
+			rep.Layers = append(rep.Layers, sim.linear(l, lin[i]))
 		case transformer.KindAttention:
-			rep.Layers = append(rep.Layers, sim.attention(l))
+			var st hw.AttnStats
+			if opt.ECP != nil && l.QKeep == nil {
+				// ECP prunes the layer: the trace carries no keep-masks.
+				st = hw.NewPrunedAttnStats(l, opt.Shape, *opt.ECP, q[i], k[i])
+			} else {
+				st = hw.NewAttnStats(l, opt.Shape)
+			}
+			rep.Layers = append(rep.Layers, sim.attention(l, st))
 		default:
 			// Tokenizer: profiled but not a target of the accelerator
 			// (§2.2); prior spiking-CNN accelerators handle it.
@@ -69,34 +74,26 @@ func (sim *Simulator) Simulate(tr *transformer.Trace) *hw.Report {
 }
 
 // linear stratifies an MLP/projection layer onto the dense and sparse cores
-// (Alg. 1), or runs it on the dense core alone when stratification is off,
-// with every buffer drawn from the scratch. The input is tagged, stratified
-// and split only when it differs from the previous linear layer's.
-func (sim *Simulator) linear(l transformer.TraceLayer) hw.LayerReport {
+// (Alg. 1), or runs it on the dense core alone when stratification is off.
+// Its input's activity comes from the memo; the partitions are cuts of its
+// runs.
+func (sim *Simulator) linear(l transformer.TraceLayer, act *bundle.Activity) hw.LayerReport {
 	opt := sim.opt
-	st := &sim.st
-	if sim.tagged == nil || l.In != sim.tagged {
-		sim.tagged = l.In
-		st.Reset(l.In, l.DOut, opt.Shape, &sim.tags)
-		if opt.Stratify {
-			if opt.ThetaS >= 0 {
-				bundle.StratifyInto(&sim.tags, opt.ThetaS, &sim.stratRes)
-			} else {
-				bundle.StratifyForSplitInto(&sim.tags, opt.SplitTarget, &sim.strat, &sim.stratRes)
-			}
-			st.SplitInto(sim.stratRes, &sim.dSt, &sim.sSt)
-		}
-	}
-	st.DOut, sim.dSt.DOut, sim.sSt.DOut = l.DOut, l.DOut, l.DOut
+	st := hw.LinearStatsOf(act, l.DOut)
 	out := hw.LayerReport{Block: l.Block, Group: l.Group, Name: l.Name}
 
 	var r hw.Result
 	if opt.Stratify {
+		theta := opt.ThetaS
+		if theta < 0 {
+			theta = act.Runs.SplitTheta(opt.SplitTarget)
+		}
+		dSt, sSt := st.SplitAt(theta)
 		// The two cores process their partitions concurrently; the layer
 		// completes when both have (latency = max), then the spike
 		// generator merges partial sums.
-		dr := dense.Simulate(opt.Tech, opt.Array, sim.dSt)
-		sr := sparse.Simulate(opt.Tech, opt.Array, sim.sSt)
+		dr := dense.Simulate(opt.Tech, opt.Array, dSt)
+		sr := sparse.Simulate(opt.Tech, opt.Array, sSt)
 		dr.ChargeStatic(opt.Tech, hw.PowerOf("TTB dense core"))
 		sr.ChargeStatic(opt.Tech, hw.PowerOf("TTB sparse core"))
 		out.Dense, out.Sparse = dr, sr
@@ -107,7 +104,7 @@ func (sim *Simulator) linear(l transformer.TraceLayer) hw.LayerReport {
 		r.Add(spikeGen(opt, int64(st.T)*int64(st.N)*int64(st.DOut), true))
 		out.Core = "dense+sparse"
 	} else {
-		dr := dense.Simulate(opt.Tech, opt.Array, *st)
+		dr := dense.Simulate(opt.Tech, opt.Array, st)
 		dr.ChargeStatic(opt.Tech, hw.PowerOf("TTB dense core"))
 		out.Dense = dr
 		r = dr
@@ -118,16 +115,9 @@ func (sim *Simulator) linear(l transformer.TraceLayer) hw.LayerReport {
 	return out
 }
 
-// attention runs an SSA layer on the TTB attention core, first pruning it
-// under ECP when the trace carries no keep-masks; the masks are drawn from
-// the scratch (they are only read within this call).
-func (sim *Simulator) attention(l transformer.TraceLayer) hw.LayerReport {
+// attention runs an SSA layer on the TTB attention core.
+func (sim *Simulator) attention(l transformer.TraceLayer, st hw.AttnStats) hw.LayerReport {
 	opt := sim.opt
-	if opt.ECP != nil && l.QKeep == nil {
-		qm, km, _ := opt.ECP.PruneInto(l.Q, l.K, &sim.ecp)
-		l.QKeep, l.KKeep = qm, km
-	}
-	st := hw.NewAttnStats(l, opt.Shape)
 	r := attention.Simulate(opt.Tech, opt.Array, st)
 	r.ChargeStatic(opt.Tech, hw.PowerOf("TTB attention core"))
 	r.Add(spikeGen(opt, int64(st.T)*int64(st.N)*int64(st.D), false))

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/bundle"
+	"repro/internal/transformer"
+	"repro/internal/workload"
 )
 
 // simulatorOptionSets covers the three structurally distinct layer paths:
@@ -92,8 +94,10 @@ func TestSimulatorReportReuse(t *testing.T) {
 }
 
 // BenchmarkSimulatorSteadyState gates the zero-alloc walk in `make
-// bench-gate`: the full Bishop layer loop on a Model 4 trace with reused
-// scratch.
+// bench-gate`: the full Bishop layer loop on a Model 4 trace with a reused
+// report. The warm-up fills the trace's statistics memo, so every timed walk
+// is a memo hit — the core models' arithmetic alone;
+// BenchmarkSimulatorColdRung gates the walk that fills the memo.
 func BenchmarkSimulatorSteadyState(b *testing.B) {
 	tr := trace(4, false, 7)
 	sim := NewSimulator(DefaultOptions())
@@ -102,5 +106,36 @@ func BenchmarkSimulatorSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Simulate(tr)
+	}
+}
+
+// BenchmarkSimulatorColdRung gates the memo's cold path in `make
+// bench-gate`: the option sets of a successive-halving search's first rung
+// on one workload — ECP θ of 0 (off), 4, 6 and 8, each stratified and
+// homogeneous, at the default bundle shape — walked in turn over a fresh,
+// memo-empty copy of a fidelity-8 Model 4 trace each iteration. The first
+// walk tags every linear input, the first ECP walk every query and key; the
+// rest read the memo.
+func BenchmarkSimulatorColdRung(b *testing.B) {
+	base := workload.SyntheticTrace(transformer.ModelZoo()[3], workload.Scenarios()[4],
+		workload.TraceOptions{Scale: 8}, 1)
+	var sims []*Simulator
+	for _, theta := range []int{0, 4, 6, 8} {
+		for _, stratify := range []bool{true, false} {
+			opt := DefaultOptions()
+			opt.Stratify = stratify
+			if theta > 0 {
+				opt.ECP = &bundle.ECPConfig{Shape: opt.Shape, ThetaQ: theta, ThetaK: theta}
+			}
+			sims = append(sims, NewSimulator(opt))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := &transformer.Trace{Cfg: base.Cfg, Layers: base.Layers}
+		for _, sim := range sims {
+			sim.Simulate(tr)
+		}
 	}
 }

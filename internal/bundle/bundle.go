@@ -75,8 +75,8 @@ func Tag(s *spike.Tensor, sh Shape) *Tags {
 }
 
 // Retag recomputes every statistic of s into tg, reusing tg's buffers
-// when their capacity suffices. It is the zero-alloc form of Tag for
-// steady-state simulation loops, and the only pass over the tensor: the
+// when their capacity suffices — the form of Tag an ActivityBuilder runs
+// for each tensor it reduces — and the only pass over the tensor: the
 // accessors below read what it cached.
 //
 // The scan is bit-sliced (the carry-save counting of Muła, Kurz & Lemire,
@@ -180,13 +180,7 @@ func (tg *Tags) SpikeCount() int { return tg.spikes }
 // in its column. This is the per-feature statistic histogrammed in Fig. 5
 // and the column sparsity Alg. 1 thresholds on.
 func (tg *Tags) ActivePerFeature() []int {
-	return tg.ActivePerFeatureInto(nil)
-}
-
-// ActivePerFeatureInto is ActivePerFeature writing into dst (resized and
-// reused when capacity allows).
-func (tg *Tags) ActivePerFeatureInto(dst []int) []int {
-	return append(dst[:0], tg.activePerFeat...)
+	return slices.Clone(tg.activePerFeat)
 }
 
 // SpikesPerFeature returns the raw spike count per feature column.
@@ -247,26 +241,10 @@ type StratifyResult struct {
 	BundlesPerFeat int // total bundles per feature column
 }
 
-// StratifyScratch holds the sort buffer of the balancing stratifier so
-// steady-state simulation loops can run it without allocating.
-type StratifyScratch struct {
-	sorted []int
-}
-
 // Stratify implements Alg. 1: feature i goes to the dense set when its
 // column's active-bundle count exceeds θ_s, otherwise to the sparse set.
 func Stratify(tg *Tags, theta int) StratifyResult {
-	var res StratifyResult
-	StratifyInto(tg, theta, &res)
-	return res
-}
-
-// StratifyInto is Stratify reusing the index slices already held by res.
-func StratifyInto(tg *Tags, theta int, res *StratifyResult) {
-	*res = StratifyResult{
-		Theta: theta, BundlesPerFeat: tg.NBt * tg.NBn,
-		Dense: res.Dense[:0], Sparse: res.Sparse[:0],
-	}
+	res := StratifyResult{Theta: theta, BundlesPerFeat: tg.NBt * tg.NBn}
 	for d, active := range tg.activePerFeat {
 		if active > theta {
 			res.Dense = append(res.Dense, d)
@@ -278,6 +256,7 @@ func StratifyInto(tg *Tags, theta int, res *StratifyResult) {
 			res.SparseBundles += active
 		}
 	}
+	return res
 }
 
 // DenseFraction returns the fraction of features routed to the dense core.
@@ -308,36 +287,9 @@ func (r StratifyResult) SparseDensity() float64 {
 
 // StratifyForSplit picks the θ_s that routes approximately targetDenseFrac
 // of the features to the dense core — the per-layer balancing strategy of
-// §6.5.1 — and returns the resulting stratification.
+// §6.5.1, Runs.SplitTheta over the tags' counts — and returns the
+// resulting stratification.
 func StratifyForSplit(tg *Tags, targetDenseFrac float64) StratifyResult {
-	var res StratifyResult
-	StratifyForSplitInto(tg, targetDenseFrac, &StratifyScratch{}, &res)
-	return res
-}
-
-// StratifyForSplitInto is StratifyForSplit reusing scratch buffers. The
-// per-feature counts are sorted ascending (a non-boxing slices.Sort) and
-// indexed from the top, which selects the exact θ of the descending-order
-// formulation: the k-th most active feature's count sits at sorted[len-k].
-func StratifyForSplitInto(tg *Tags, targetDenseFrac float64, sc *StratifyScratch, res *StratifyResult) {
-	sc.sorted = tg.ActivePerFeatureInto(sc.sorted)
-	slices.Sort(sc.sorted)
-	n := len(sc.sorted)
-	k := int(targetDenseFrac*float64(n) + 0.5)
-	var theta int
-	switch {
-	case k <= 0:
-		theta = sc.sorted[n-1] // nothing dense
-	case k >= n:
-		theta = -1 // everything dense
-	default:
-		theta = sc.sorted[n-k] - 1
-		if theta < 0 {
-			// Zero-activity feature columns never justify dense-core slots:
-			// keep them on the sparse side even when the target asks for
-			// more dense features than there are active ones.
-			theta = 0
-		}
-	}
-	StratifyInto(tg, theta, res)
+	var b ActivityBuilder
+	return Stratify(tg, b.reduce(tg).Runs.SplitTheta(targetDenseFrac))
 }

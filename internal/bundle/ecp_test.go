@@ -123,3 +123,55 @@ func TestECPRowGranularity(t *testing.T) {
 		}
 	}
 }
+
+// TestECPMatchesBundleTags checks Prune's masks and statistics against n_ab
+// recounted from the per-bundle tags (Counts), on token grids that bundle
+// shapes do not divide evenly.
+func TestECPMatchesBundleTags(t *testing.T) {
+	q := randomSpikes(11, 7, 10, 70, 0.05)
+	k := randomSpikes(12, 7, 10, 70, 0.08)
+	for _, sh := range []Shape{{BSt: 4, BSn: 2}, {BSt: 2, BSn: 3}, {BSt: 1, BSn: 4}, {BSt: 8, BSn: 8}} {
+		for _, theta := range []int{0, 1, 5, 20} {
+			c := ECPConfig{Shape: sh, ThetaQ: theta, ThetaK: theta + 2}
+			qKeep, kKeep, st := c.Prune(q, k)
+			for _, side := range []struct {
+				s     *spike.Tensor
+				keep  [][]bool
+				theta int
+				rows  int
+				toks  int
+			}{{q, qKeep, c.ThetaQ, st.QRowsKept, st.QTokensKept}, {k, kKeep, c.ThetaK, st.KRowsKept, st.KTokensKept}} {
+				counts := Counts(side.s, sh)
+				nbn := (side.s.N + sh.BSn - 1) / sh.BSn
+				nab := func(t, n int) int {
+					row := (t/sh.BSt*nbn + n/sh.BSn) * side.s.D
+					var a int
+					for _, c := range counts[row : row+side.s.D] {
+						if c > 0 {
+							a++
+						}
+					}
+					return a
+				}
+				var rows, toks int
+				for t2 := 0; t2 < side.s.T; t2++ {
+					for n := 0; n < side.s.N; n++ {
+						kept := nab(t2, n) >= side.theta
+						if side.keep[t2][n] != kept {
+							t.Fatalf("%+v θ=%d: token (%d,%d) kept %v, want %v", sh, side.theta, t2, n, side.keep[t2][n], kept)
+						}
+						if kept {
+							toks++
+							if t2%sh.BSt == 0 && n%sh.BSn == 0 {
+								rows++
+							}
+						}
+					}
+				}
+				if rows != side.rows || toks != side.toks {
+					t.Fatalf("%+v θ=%d: stats %d rows %d tokens, want %d %d", sh, side.theta, side.rows, side.toks, rows, toks)
+				}
+			}
+		}
+	}
+}

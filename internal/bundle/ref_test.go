@@ -84,9 +84,8 @@ func (tg *refTags) ActivePerRow() []int {
 }
 
 // checkTags fails t unless tg, as Retag left it for s under sh, matches the
-// reference in its geometry and every cached statistic. ActivePerFeatureInto
-// gets a short buffer of stale values, so it must resize it and overwrite
-// every element.
+// reference in its geometry and every cached statistic, and unless the
+// Activity reduced from it lists the reference's per-feature counts as runs.
 func checkTags(t testing.TB, what string, tg *Tags, s *spike.Tensor, sh Shape) {
 	t.Helper()
 	ref := newRefTags(s, sh)
@@ -94,13 +93,11 @@ func checkTags(t testing.TB, what string, tg *Tags, s *spike.Tensor, sh Shape) {
 		t.Fatalf("%s: geometry %+v %dx%dx%d grid %dx%d, want %+v %dx%dx%d grid %dx%d", what,
 			tg.Shape, tg.T, tg.N, tg.D, tg.NBt, tg.NBn, sh, s.T, s.N, s.D, ref.NBt, ref.NBn)
 	}
-	stale := append(make([]int, 0, 2*tg.D+8), -7, -7, -7)
 	vecs := []struct {
 		name      string
 		got, want []int
 	}{
 		{"ActivePerFeature", tg.ActivePerFeature(), ref.ActivePerFeature()},
-		{"ActivePerFeatureInto", tg.ActivePerFeatureInto(stale), ref.ActivePerFeature()},
 		{"SpikesPerFeature", tg.SpikesPerFeature(), ref.SpikesPerFeature()},
 		{"ActivePerRow", tg.ActivePerRow(), ref.ActivePerRow()},
 	}
@@ -115,6 +112,30 @@ func checkTags(t testing.TB, what string, tg *Tags, s *spike.Tensor, sh Shape) {
 	if got, want := tg.SpikeCount(), ref.SpikeCount(); got != want || got != s.Count() {
 		t.Fatalf("%s: SpikeCount=%d want %d (tensor holds %d)", what, got, want, s.Count())
 	}
+	var b ActivityBuilder
+	if got, want := []Run(b.reduce(tg).Runs), refRuns(ref.ActivePerFeature(), ref.SpikesPerFeature()); !slices.Equal(got, want) {
+		t.Fatalf("%s: Runs = %v, want %v", what, got, want)
+	}
+}
+
+// refRuns groups per-feature counts by sorting: the runs an Activity must
+// hold.
+func refRuns(active, spikes []int) []Run {
+	idx := make([]int, len(active))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int { return active[a] - active[b] })
+	var runs []Run
+	for _, d := range idx {
+		if n := len(runs); n > 0 && int(runs[n-1].Active) == active[d] {
+			runs[n-1].Features++
+			runs[n-1].Spikes += uint32(spikes[d])
+			continue
+		}
+		runs = append(runs, Run{Active: uint32(active[d]), Features: 1, Spikes: uint32(spikes[d])})
+	}
+	return runs
 }
 
 // TestRetagMatchesReference sweeps the bundle shapes of Fig. 16 and more,

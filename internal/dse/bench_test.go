@@ -7,7 +7,10 @@ import (
 
 // BenchmarkSweepGrid regenerates the 12-point test grid through the full
 // engine (trace cache hit, parallel evaluation, in-memory merge) — the
-// per-point cost of a design-space sweep.
+// per-point cost of a design-space sweep. After the warm-up every
+// evaluation reads the trace's statistics memo (a memo hit), so this times
+// the core models and the sweep machinery, not tagging;
+// accel's BenchmarkSimulatorColdRung gates the memo-filling path.
 func BenchmarkSweepGrid(b *testing.B) {
 	points := testSpace().Grid()
 	Evaluate(points[0], 1) // warm the trace cache

@@ -143,6 +143,13 @@ func Evaluate(p Point, seed uint64) Record { return EvaluateAt(p, seed, 0) }
 // Evaluate's). Low-fidelity records carry the fidelity tag, so they can
 // never be mistaken for — or satisfy a resume of — a full evaluation.
 func EvaluateAt(p Point, seed uint64, fidelity int) Record {
+	return evaluate(p, DigestKey(p), seed, fidelity)
+}
+
+// evaluate is EvaluateAt with the point's digest key already rendered: a
+// Plan passes the key it holds for each unit, so a sweep renders every
+// digest once.
+func evaluate(p Point, key string, seed uint64, fidelity int) Record {
 	if fidelity <= 1 {
 		fidelity = 0
 	}
@@ -150,7 +157,7 @@ func EvaluateAt(p Point, seed uint64, fidelity int) Record {
 	cfg := transformer.ModelZoo()[p.Model-1]
 	sc := workload.Scenarios()[p.Model]
 	tr := workload.CachedTrace(cfg, sc, workload.TraceOptions{BSA: p.BSA, Scale: fidelity}, seed)
-	rec := Record{Digest: DigestKey(p), Model: p.Model, BSA: p.BSA, Seed: seed, Fidelity: fidelity}
+	rec := Record{Digest: key, Model: p.Model, BSA: p.BSA, Seed: seed, Fidelity: fidelity}
 	var rep *hw.Report
 	if p.Backend == nil {
 		opt := p.Opt
@@ -235,8 +242,8 @@ func (c *Config) normalize() error {
 // coordinates; each digest is one unit, owned by exactly one shard, so n
 // shards of the same spec together evaluate exactly the units of the
 // unsharded sweep. Every runner — a Plan's to-do list, the fleet
-// coordinator's shard inventory, the search candidate list — takes its work
-// list from here.
+// coordinator's shard inventory (Plan.ShardUnits), the search candidate
+// list — takes its work list from here.
 func (c Config) Units(points []Point) []int { return c.units(DigestKeys(points)) }
 
 // units is Units over the points' digest keys.

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/accel"
 	"repro/internal/bundle"
@@ -164,12 +165,34 @@ func TestSweepInterruptResumeBitIdentical(t *testing.T) {
 	}
 
 	// Kill the sweep as soon as its first record is durable: OnRecord runs
-	// only after the checkpoint holds the record.
+	// only after the checkpoint holds the record. Every other evaluation
+	// waits for that cancellation before it runs, so however fast the
+	// simulator is, the second worker's unit is in flight when the context
+	// is cancelled, and no later unit may start.
 	ckpt := filepath.Join(dir, "sweep.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	partial, err := Sweep(ctx, points, Config{Seed: 1, Checkpoint: ckpt, Jobs: 2,
+	plan, err := OpenPlan(points, Config{Seed: 1, Checkpoint: ckpt, Jobs: 2,
 		OnRecord: func(Record) { cancel() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, evaluate := plan.Todo()[0], plan.evaluate
+	plan.evaluate = func(i int) Record {
+		if i != first {
+			select {
+			case <-ctx.Done():
+			case <-time.After(time.Minute):
+				t.Error("the first durable record did not cancel the sweep")
+			}
+		}
+		return evaluate(i)
+	}
+	err = plan.Run(ctx)
+	partial := plan.Result()
+	if cerr := plan.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
 	if err == nil || partial.Evaluated == 0 || partial.Evaluated >= len(points) {
 		t.Fatalf("interrupted sweep: err %v, %d of %d points evaluated", err, partial.Evaluated, len(points))
 	}

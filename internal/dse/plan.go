@@ -36,6 +36,10 @@ type Plan struct {
 	todo   []int             // units without an adopted record, in unit order
 	pos    map[string]int    // digest → position in todo
 
+	// evaluate produces the record of point i; tests replace it to
+	// interleave evaluations with cancellation.
+	evaluate func(i int) Record
+
 	mu   sync.Mutex
 	recs []Record // fresh records by position; Digest is "" until filled
 	next int      // recs[:next] are committed
@@ -53,6 +57,7 @@ func OpenPlan(points []Point, cfg Config) (*Plan, error) {
 	}
 	keys := DigestKeys(points)
 	p := &Plan{cfg: cfg, points: points, keys: keys, held: map[string]Record{}, todo: cfg.units(keys)}
+	p.evaluate = func(i int) Record { return evaluate(p.points[i], p.keys[i], cfg.Seed, cfg.Fidelity) }
 	var recs []Record
 	if cfg.Checkpoint != "" {
 		ckpt, err := OpenCheckpointWriter(cfg.Checkpoint)
@@ -94,6 +99,18 @@ func (p *Plan) Adopt(recs []Record) int {
 // point indices whose records Commit files at positions 0, 1, ….
 func (p *Plan) Todo() []int { return p.todo }
 
+// Key returns the digest key (DigestKey) of point i.
+func (p *Plan) Key(i int) string { return p.keys[i] }
+
+// ShardUnits returns the units shard s of n owns — Config.Units of the
+// plan's points with Shard and Shards set to s and n — from the digest keys
+// the plan holds.
+func (p *Plan) ShardUnits(s, n int) []int {
+	c := p.cfg
+	c.Shard, c.Shards = s, n
+	return c.units(p.keys)
+}
+
 // Position returns the position in Todo of the unit with the given digest.
 func (p *Plan) Position(digest string) (int, bool) {
 	k, ok := p.pos[digest]
@@ -113,11 +130,12 @@ func (p *Plan) Has(i int) bool {
 }
 
 // Run evaluates the point of every position in Todo, Jobs at a time, and
-// commits each record. On cancellation it waits for the evaluations in
-// flight, commits them, and returns the error.
+// commits each record. Each evaluation reuses the digest key the plan holds
+// for its unit. On cancellation it waits for the evaluations in flight,
+// commits them, and returns the error.
 func (p *Plan) Run(ctx context.Context) error {
 	return sched.Map(ctx, len(p.todo), p.cfg.Jobs, func(k int) error {
-		_, err := p.Commit(k, EvaluateAt(p.points[p.todo[k]], p.cfg.Seed, p.cfg.Fidelity))
+		_, err := p.Commit(k, p.evaluate(p.todo[k]))
 		return err
 	})
 }

@@ -1,7 +1,8 @@
 // Package durable is the only package that writes files. WriteFile is the
-// one atomic-publication path, for trace-store entries, result-cache
-// records, exported trace files and the CLIs' output files; Journal is the
-// fsynced append-only file under sweep and fleet checkpoints.
+// one atomic-publication path, for trace-store entries, exported trace files
+// and the CLIs' output files; Journal is the fsynced append-only file under
+// sweep and fleet checkpoints, and AppendFile its unsynced sibling under the
+// result cache's log.
 // bishoplint's durable-writes check keeps file writes out of every other
 // package, so a crash-consistency test of the durable-write path has a
 // single seam to exercise.
@@ -11,13 +12,7 @@ import (
 	"bufio"
 	"os"
 	"path/filepath"
-	"sync"
 )
-
-// writers recycles the staging buffers: a result-cache record is published
-// per evaluated point, and a fresh 4 KiB buffer each time would outweigh the
-// record itself in allocated bytes.
-var writers = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
 
 // WriteFile atomically replaces path with the bytes write produces. The bytes
 // are staged in a ".tmp-*" file in path's directory, then flushed, fsynced,
@@ -32,14 +27,11 @@ func WriteFile(path string, write func(*bufio.Writer) error) error {
 		return err
 	}
 	tmp := f.Name()
-	bw := writers.Get().(*bufio.Writer)
-	bw.Reset(f)
+	bw := bufio.NewWriter(f)
 	err = write(bw)
 	if err == nil {
 		err = bw.Flush()
 	}
-	bw.Reset(nil)
-	writers.Put(bw)
 	if err == nil {
 		err = f.Sync()
 	}

@@ -113,3 +113,21 @@ func TestJournalCreatesMissingFile(t *testing.T) {
 		t.Fatalf("journal holds %q, %v", got, err)
 	}
 }
+
+// TestAppendFile pins the unsynced append: it creates a missing file, adds
+// each block after the last whole, and reports a missing directory.
+func TestAppendFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "log")
+	for _, block := range []string{"one\n", "two\nthree\n"} {
+		if err := AppendFile(path, []byte(block)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "one\ntwo\nthree\n" {
+		t.Fatalf("log holds %q, %v", got, err)
+	}
+	if err := AppendFile(filepath.Join(dir, "missing", "log"), []byte("x\n")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing directory must report os.ErrNotExist, got %v", err)
+	}
+}

@@ -44,3 +44,22 @@ func (j *Journal) Append(block []byte) error {
 
 // Close closes the underlying file.
 func (j *Journal) Close() error { return j.f.Close() }
+
+// AppendFile appends block, one or more newline-terminated lines, to path
+// with one write, creating the file when absent. Unlike Journal.Append it
+// does not fsync, and it keeps no file open between calls. Appenders, in
+// one process or several, never interleave their blocks (O_APPEND), but a
+// crash of the machine may lose the last blocks or tear one. It is for logs
+// whose readers validate every line and treat a damaged one as absent, such
+// as the result cache, where a lost line only costs a re-evaluation.
+func AppendFile(path string, block []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(block)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -266,26 +266,22 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
-	points := spec.Points()
-	// The shard inventory: each shard's units, the points its worker's
-	// dse.Sweep evaluates (survivor-restricted for a search rung).
-	shards := make([][]int, cfg.Shards)
-	for s := range shards {
-		sc := spec.Config()
-		sc.Shard, sc.Shards = s, cfg.Shards
-		shards[s] = sc.Units(points)
-	}
-
 	// The file may also hold other seeds, fidelities or points (a shared
 	// search checkpoint, an earlier sweep): they stay in place, and the
 	// plan's result set holds only the spec's points.
 	pc := spec.Config()
 	pc.Checkpoint, pc.OnRecord = cfg.Checkpoint, cfg.OnRecord
-	plan, err := dse.OpenPlan(points, pc)
+	plan, err := dse.OpenPlan(spec.Points(), pc)
 	if err != nil {
 		return Result{}, err
 	}
 	defer plan.Close()
+	// The shard inventory: each shard's units, the points its worker's
+	// dse.Sweep evaluates (survivor-restricted for a search rung).
+	shards := make([][]int, cfg.Shards)
+	for s := range shards {
+		shards[s] = plan.ShardUnits(s, cfg.Shards)
+	}
 
 	c := &coordinator{
 		cfg:      cfg,
@@ -370,7 +366,7 @@ func Run(ctx context.Context, spec dse.SweepSpec, cfg Config) (Result, error) {
 	res := Result{
 		Records:       set.Records,
 		set:           set,
-		Points:        len(points),
+		Points:        len(set.Points),
 		Resumed:       resumed,
 		Fresh:         set.Evaluated,
 		ReLeases:      reLeases,

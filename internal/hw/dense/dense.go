@@ -34,14 +34,10 @@ func Simulate(t hw.Tech, arr hw.ArrayConfig, st hw.LinearStats) hw.Result {
 	slotBeats := hw.CeilDiv(int64(st.Shape.Volume()), lanes)
 	var weightGLBReads int64
 	var computeCycles int64
-	for _, act := range st.ActivePerFeature {
-		if act == 0 {
-			continue
-		}
-		activeTiles := int64(act)
-		if activeTiles > nBundleTiles {
-			activeTiles = nBundleTiles
-		}
+	// Features with equal active-bundle counts cost the same, so each run
+	// of them is charged at once.
+	for _, run := range st.Runs {
+		activeTiles := min(int64(run.Active), nBundleTiles) * int64(run.Features)
 		computeCycles += activeTiles * slotBeats
 		// One weight row (cols bytes per column tile) streamed per active
 		// bundle tile, broadcast across the 16 PEs of the tile.

@@ -133,15 +133,16 @@ func randSpikes(seed uint64, T, N, D int, p float64) *spike.Tensor {
 func TestLinearStatsConservation(t *testing.T) {
 	in := randSpikes(1, 8, 16, 32, 0.2)
 	st := NewLinearStats(in, 64, bundle.Shape{BSt: 4, BSn: 2})
-	var act int
-	for d := 0; d < 32; d++ {
-		act += st.ActivePerFeature[d]
+	var act, features int
+	for _, r := range st.Runs {
+		act += int(r.Active) * int(r.Features)
+		features += int(r.Features)
 	}
 	if st.TotalSpikes != in.Count() {
 		t.Fatalf("spike conservation: %d vs %d", st.TotalSpikes, in.Count())
 	}
-	if act != st.ActiveBundles {
-		t.Fatalf("bundle conservation")
+	if act != st.ActiveBundles || features != st.DIn {
+		t.Fatalf("bundle or feature conservation")
 	}
 	if st.B != 2*8 {
 		t.Fatalf("bundle rows %d", st.B)
@@ -150,8 +151,8 @@ func TestLinearStatsConservation(t *testing.T) {
 
 // TestLinearStatsSplitConserves checks each side of a split, not only their
 // sum, against the tags' per-feature spike and active-bundle counts over
-// that side's features: at a fixed θ_s of 0, at split targets 0, 0.5 and 1,
-// and through one reused SplitInto pair left stale by the previous case.
+// that side's features: at a fixed θ_s of 0, and at split targets 0, 0.5
+// and 1.
 func TestLinearStatsSplitConserves(t *testing.T) {
 	in := randSpikes(2, 8, 16, 32, 0.15)
 	sh := bundle.Shape{BSt: 4, BSn: 2}
@@ -161,17 +162,22 @@ func TestLinearStatsSplitConserves(t *testing.T) {
 	check := func(what string, side LinearStats, idx []int) {
 		t.Helper()
 		var spikes, bundles int
+		perCount := map[uint32]uint32{}
 		for _, d := range idx {
 			spikes += spf[d]
 			bundles += apf[d]
+			perCount[uint32(apf[d])]++
 		}
 		if side.TotalSpikes != spikes || side.ActiveBundles != bundles || side.DIn != len(idx) {
 			t.Fatalf("%s: spikes %d bundles %d features %d, want %d %d %d", what,
 				side.TotalSpikes, side.ActiveBundles, side.DIn, spikes, bundles, len(idx))
 		}
-		for i, d := range idx {
-			if side.ActivePerFeature[i] != apf[d] {
-				t.Fatalf("%s: feature %d active %d want %d", what, d, side.ActivePerFeature[i], apf[d])
+		if len(side.Runs) != len(perCount) {
+			t.Fatalf("%s: %d runs for %d distinct counts", what, len(side.Runs), len(perCount))
+		}
+		for i, r := range side.Runs {
+			if perCount[r.Active] != r.Features || (i > 0 && side.Runs[i-1].Active >= r.Active) {
+				t.Fatalf("%s: run %+v, want %d features, ascending", what, r, perCount[r.Active])
 			}
 		}
 		if side.DOut != st.DOut || side.B != st.B {
@@ -187,7 +193,6 @@ func TestLinearStatsSplitConserves(t *testing.T) {
 		{"target 0.5", bundle.StratifyForSplit(tg, 0.5)},
 		{"target 1", bundle.StratifyForSplit(tg, 1)},
 	}
-	var dReused, sReused LinearStats
 	for _, c := range cases {
 		d, s := st.Split(c.res)
 		check(c.name+" dense", d, c.res.Dense)
@@ -195,9 +200,6 @@ func TestLinearStatsSplitConserves(t *testing.T) {
 		if d.TotalSpikes+s.TotalSpikes != st.TotalSpikes || d.DIn+s.DIn != st.DIn {
 			t.Fatalf("%s: split loses spikes or features", c.name)
 		}
-		st.SplitInto(c.res, &dReused, &sReused)
-		check(c.name+" reused dense", dReused, c.res.Dense)
-		check(c.name+" reused sparse", sReused, c.res.Sparse)
 	}
 }
 
@@ -257,5 +259,30 @@ func TestReportGroupTotals(t *testing.T) {
 	}
 	if rep.AttentionTotal().Cycles != 20 {
 		t.Fatal("attention total")
+	}
+}
+
+// TestPrunedAttnStatsMatchesMasks checks the mask-free attention statistics
+// against NewAttnStats of the layer carrying the masks ECP's Prune returns,
+// with ECP bundling under the simulator's shape and under coarser and finer
+// ones, on a token grid no shape divides evenly.
+func TestPrunedAttnStatsMatchesMasks(t *testing.T) {
+	q := randSpikes(7, 7, 10, 48, 0.05)
+	k := randSpikes(8, 7, 10, 48, 0.07)
+	shapes := []bundle.Shape{{BSt: 4, BSn: 2}, {BSt: 2, BSn: 2}, {BSt: 1, BSn: 2}, {BSt: 4, BSn: 4}, {BSt: 3, BSn: 3}}
+	for _, ecpSh := range shapes {
+		var b bundle.ActivityBuilder
+		qr, kr := b.Rows(q, ecpSh), b.Rows(k, ecpSh)
+		for _, simSh := range shapes {
+			for _, theta := range []int{0, 2, 6} {
+				c := bundle.ECPConfig{Shape: ecpSh, ThetaQ: theta, ThetaK: theta + 1}
+				l := transformer.TraceLayer{Q: q, K: k, V: q, Heads: 4}
+				got := NewPrunedAttnStats(l, simSh, c, qr, kr)
+				l.QKeep, l.KKeep, _ = c.Prune(q, k)
+				if want := NewAttnStats(l, simSh); got != want {
+					t.Fatalf("ECP %+v on %+v, θ=%d: %+v, want %+v", ecpSh, simSh, theta, got, want)
+				}
+			}
+		}
 	}
 }

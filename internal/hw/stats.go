@@ -8,63 +8,60 @@ import (
 
 // LinearStats summarizes one MLP/projection layer's spiking workload at TTB
 // granularity: everything the dense/sparse core models need, with the raw
-// tensors already reduced to counts.
+// tensor already reduced to counts. Runs is the ascending multiset of the
+// per-feature active-bundle counts (see bundle.Activity), all the core
+// models read of the features; a stratified partition is a contiguous
+// subslice of it. The simulator builds LinearStats from its trace's
+// statistics memo, so Runs aliases memory the trace owns and must not be
+// modified.
 type LinearStats struct {
 	T, N, DIn, DOut int
 	Shape           bundle.Shape
 	B               int // bundle rows = ⌈T/BSt⌉·⌈N/BSn⌉
 
-	ActivePerFeature []int // active bundles per input feature column
-	TotalSpikes      int
-	ActiveBundles    int
+	Runs          bundle.Runs
+	TotalSpikes   int
+	ActiveBundles int
 }
 
 // NewLinearStats extracts the statistics of a projection/MLP layer with
 // binary input in and a DIn×DOut weight matrix, bundled under sh.
 func NewLinearStats(in *spike.Tensor, dout int, sh bundle.Shape) LinearStats {
-	var st LinearStats
-	st.Reset(in, dout, sh, &bundle.Tags{})
-	return st
+	var b bundle.ActivityBuilder
+	return LinearStatsOf(b.Activity(in, sh), dout)
 }
 
-// Reset recomputes st for a new workload, reusing both its own per-feature
-// slices and the caller-held tag scratch — the zero-alloc form of
-// NewLinearStats for steady-state simulation loops. tg is left holding the
-// computed tags (callers feed it to the stratifier); every statistic is
-// copied from the ones Retag cached.
-func (st *LinearStats) Reset(in *spike.Tensor, dout int, sh bundle.Shape, tg *bundle.Tags) {
-	tg.Retag(in, sh)
-	st.T, st.N, st.DIn, st.DOut, st.Shape = in.T, in.N, in.D, dout, sh
-	st.B = tg.NBt * tg.NBn
-	st.ActivePerFeature = tg.ActivePerFeatureInto(st.ActivePerFeature)
-	st.TotalSpikes = tg.SpikeCount()
-	st.ActiveBundles = tg.ActiveBundles()
+// LinearStatsOf is the workload of a layer with a DIn×DOut weight matrix
+// whose input has activity a. It copies no counts: Runs aliases a's.
+func LinearStatsOf(a *bundle.Activity, dout int) LinearStats {
+	return LinearStats{T: a.T, N: a.N, DIn: a.D, DOut: dout, Shape: a.Shape, B: a.NBt * a.NBn,
+		Runs: a.Runs, TotalSpikes: a.Spikes, ActiveBundles: a.ActiveBundles}
 }
 
-// Split partitions the per-feature statistics by a stratification result of
-// the same input, returning the dense-core and sparse-core sub-workloads.
+// Split partitions the statistics by a stratification result of the same
+// input, returning the dense-core and sparse-core sub-workloads. Alg. 1
+// routes a feature by its count alone, so the result's threshold fixes the
+// partition: SplitAt(res.Theta).
 func (s LinearStats) Split(res bundle.StratifyResult) (dense, sparse LinearStats) {
-	var d, sp LinearStats
-	s.SplitInto(res, &d, &sp)
-	return d, sp
+	return s.SplitAt(res.Theta)
 }
 
-// SplitInto is Split writing into caller-held stats, reusing their
-// per-feature slices across calls. Each side's totals are the ones the
-// stratifier summed while partitioning.
-func (s *LinearStats) SplitInto(res bundle.StratifyResult, dense, sparse *LinearStats) {
-	s.pickInto(res.Dense, res.DenseSpikes, res.DenseBundles, dense)
-	s.pickInto(res.Sparse, res.SparseSpikes, res.SparseBundles, sparse)
+// SplitAt partitions the statistics at θ_s: features with more than θ
+// active bundles go dense, the rest sparse. Both sides alias s's runs, so
+// splitting allocates nothing.
+func (s LinearStats) SplitAt(theta int) (dense, sparse LinearStats) {
+	k := s.Runs.Cut(theta)
+	return s.pick(s.Runs[k:]), s.pick(s.Runs[:k])
 }
 
-func (s *LinearStats) pickInto(idx []int, spikes, bundles int, out *LinearStats) {
-	apf := out.ActivePerFeature[:0]
-	*out = *s
-	for _, d := range idx {
-		apf = append(apf, s.ActivePerFeature[d])
+func (s LinearStats) pick(runs bundle.Runs) LinearStats {
+	s.Runs, s.DIn, s.TotalSpikes, s.ActiveBundles = runs, 0, 0, 0
+	for _, r := range runs {
+		s.DIn += int(r.Features)
+		s.TotalSpikes += int(r.Spikes)
+		s.ActiveBundles += int(r.Active) * int(r.Features)
 	}
-	out.ActivePerFeature = apf
-	out.DIn, out.TotalSpikes, out.ActiveBundles = len(idx), spikes, bundles
+	return s
 }
 
 // WeightDRAMBytes is the off-chip weight traffic of the layer: each 8-bit
@@ -138,6 +135,27 @@ func NewAttnStats(l transformer.TraceLayer, sh bundle.Shape) AttnStats {
 	st.QBundleRows = rows(l.QKeep)
 	st.KBundleRows = rows(l.KKeep)
 	return st
+}
+
+// NewPrunedAttnStats is NewAttnStats for an SSA layer that ECP config c
+// prunes, given the per-row counts n_ab of its query and key under c.Shape:
+// the kept tokens and bundle rows follow from the counts, with no
+// keep-masks built. It equals NewAttnStats of the layer carrying the masks
+// c.Prune returns, for any c.Shape.
+func NewPrunedAttnStats(l transformer.TraceLayer, sh bundle.Shape, c bundle.ECPConfig, q, k *bundle.RowActivity) AttnStats {
+	st := AttnStats{T: l.Q.T, N: l.Q.N, D: l.Q.D, Shape: sh}
+	st.QBundleRows, st.QTokensKept = keptUnder(q, c.ThetaQ, sh)
+	st.KBundleRows, st.KTokensKept = keptUnder(k, c.ThetaK, sh)
+	return st
+}
+
+// keptUnder is r.Kept with the rows counted under sh.
+func keptUnder(r *bundle.RowActivity, theta int, sh bundle.Shape) (rows, tokens int) {
+	rows, tokens = r.Kept(theta)
+	if sh != r.Shape {
+		rows = r.KeptRowsUnder(theta, sh)
+	}
+	return rows, tokens
 }
 
 // QKVBits returns the packed size of the surviving Q, K, and V spike data in

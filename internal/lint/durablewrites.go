@@ -8,8 +8,9 @@ import (
 
 // durablePkg is the one package allowed to write files. Keeping every write
 // there gives the durable-write path a single seam: temp+Sync+rename
-// publication (durable.WriteFile) and the fsynced append journal
-// (durable.Journal).
+// publication (durable.WriteFile), the fsynced append journal
+// (durable.Journal) and the result cache's unsynced appends
+// (durable.AppendFile).
 const durablePkg = "internal/durable"
 
 // DurableWrites keeps file writes inside internal/durable. Elsewhere it

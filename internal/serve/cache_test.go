@@ -13,9 +13,10 @@ import (
 )
 
 // TestCacheIgnoresStaleTempFiles pins crash robustness of the cache
-// directory: temp files left behind by a SIGKILLed writer (the atomic
-// publication never happened) are invisible to lookups, never block a later
-// publication of the same key, and are not mistaken for entries.
+// directory: what a dead writer leaves behind — temp files of the
+// file-per-record layout the log replaced, and a torn line at the log's
+// tail — is invisible to lookups, never blocks a later publication of the
+// same key, and stays inert.
 func TestCacheIgnoresStaleTempFiles(t *testing.T) {
 	cache := &Cache{Dir: t.TempDir()}
 	spec := tinySpec()
@@ -23,16 +24,18 @@ func TestCacheIgnoresStaleTempFiles(t *testing.T) {
 	key := fmt.Sprintf("%016x", p.Digest())
 
 	// A dead writer's droppings: a torn temp file (partial JSON) and an
-	// empty one, both in the publication directory.
+	// empty one, and a torn last line in the log.
 	for i, content := range []string{`{"index":0,"dig`, ""} {
 		if err := os.WriteFile(filepath.Join(cache.Dir, fmt.Sprintf(".tmp-stale%d", i)), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	torn := "\n" + key + ` 1 0 {"index":0,"dig`
+	appendLog(t, cache, torn)
 
 	// Lookups see a clean miss, not the garbage.
 	if _, ok := cache.LoadAt(key, 1, 0); ok {
-		t.Fatal("lookup served a stale temp file")
+		t.Fatal("lookup served a dead writer's dropping")
 	}
 
 	// A full run over the littered directory publishes normally…
@@ -43,16 +46,25 @@ func TestCacheIgnoresStaleTempFiles(t *testing.T) {
 	if res.CacheMisses != len(spec.Points()) {
 		t.Fatalf("cold run over littered dir: %d misses, want %d", res.CacheMisses, len(spec.Points()))
 	}
-	rec, ok := cache.LoadAt(key, 1, 0)
-	if !ok {
-		t.Fatal("published entry not served after stale-temp litter")
-	}
-	if rec.Digest != key {
-		t.Fatalf("served record digest %s, want %s", rec.Digest, key)
+	for _, c := range []*Cache{cache, {Dir: cache.Dir}} {
+		rec, ok := c.LoadAt(key, 1, 0)
+		if !ok {
+			t.Fatal("published entry not served after a dead writer's litter")
+		}
+		if rec.Digest != key {
+			t.Fatalf("served record digest %s, want %s", rec.Digest, key)
+		}
 	}
 
-	// …and the stale temp files are still inert files, not entries: every
-	// real entry file parses, temp files were never renamed into place.
+	// …and the droppings stay inert: the temp files are untouched, and the
+	// torn line is closed off as a malformed line of its own.
+	data, err := os.ReadFile(filepath.Join(cache.Dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), torn+"\n") {
+		t.Fatalf("log does not keep the torn line apart: %.200q", data)
+	}
 	entries, err := os.ReadDir(cache.Dir)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +75,7 @@ func TestCacheIgnoresStaleTempFiles(t *testing.T) {
 			stale++
 			continue
 		}
-		if !strings.HasSuffix(e.Name(), ".json") {
+		if e.Name() != logName {
 			t.Errorf("unexpected cache dir entry %q", e.Name())
 		}
 	}
@@ -73,10 +85,11 @@ func TestCacheIgnoresStaleTempFiles(t *testing.T) {
 }
 
 // TestCacheCorruptOverwriteIsMissThenRepaired pins the concurrent-corruption
-// story: an entry overwritten with garbage (a crashed or hostile co-writer)
-// degrades to a miss — never an error, never a half-read record — and the
-// next publication atomically repairs it while concurrent readers only ever
-// observe miss or the complete record.
+// story: an entry superseded by garbage (a crashed or hostile co-writer
+// appending a torn line under its key) degrades to a miss — never an error,
+// never a half-read record — and the next publication repairs it while
+// concurrent readers, through the writer's Cache or another one over the
+// same directory, only ever observe a miss or the complete record.
 func TestCacheCorruptOverwriteIsMissThenRepaired(t *testing.T) {
 	cache := &Cache{Dir: t.TempDir()}
 	spec := tinySpec()
@@ -90,11 +103,12 @@ func TestCacheCorruptOverwriteIsMissThenRepaired(t *testing.T) {
 		t.Fatal("expected entry before corruption")
 	}
 
-	// Clobber the published entry in place with a torn document.
-	if err := os.WriteFile(cache.PathAt(key, 1, 0), []byte(`{"index":0,"dig`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cache.LoadAt(key, 1, 0); ok {
+	// Supersede the published entry with a torn document. A Cache that
+	// reads the log from here on (another process, a restarted daemon)
+	// misses; the one that indexed the good line may keep serving it.
+	appendLog(t, cache, "\n"+key+` 1 0 {"index":0,"dig`+"\n")
+	other := &Cache{Dir: cache.Dir}
+	if _, ok := other.LoadAt(key, 1, 0); ok {
 		t.Fatal("corrupt overwrite served as a hit")
 	}
 
@@ -115,8 +129,9 @@ func TestCacheCorruptOverwriteIsMissThenRepaired(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			c := []*Cache{cache, other}[r%2]
 			for i := 0; i < 50; i++ {
-				if rec, ok := cache.LoadAt(key, 1, 0); ok {
+				if rec, ok := c.LoadAt(key, 1, 0); ok {
 					if rec.Digest != key || !rec.Valid() {
 						t.Errorf("reader observed a partial record: %+v", rec)
 						return
@@ -126,18 +141,20 @@ func TestCacheCorruptOverwriteIsMissThenRepaired(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	repaired, ok := cache.LoadAt(key, 1, 0)
-	if !ok || repaired.Digest != key {
-		t.Fatalf("entry not repaired: ok=%v digest=%s", ok, repaired.Digest)
+	for _, c := range []*Cache{cache, other} {
+		repaired, ok := c.LoadAt(key, 1, 0)
+		if !ok || repaired.Digest != key {
+			t.Fatalf("entry not repaired: ok=%v digest=%s", ok, repaired.Digest)
+		}
 	}
-	// No temp residue from the racing writers.
+	// The racing writers published into the log and nowhere else.
 	entries, err := os.ReadDir(cache.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Errorf("racing writers leaked temp file %q", e.Name())
+		if e.Name() != logName {
+			t.Errorf("racing writers left %q", e.Name())
 		}
 	}
 }

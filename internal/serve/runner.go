@@ -86,7 +86,7 @@ func Run(ctx context.Context, spec dse.SweepSpec, opt RunOptions) (*RunResult, e
 	if opt.Cache != nil {
 		var hits []dse.Record
 		for _, i := range plan.Todo() {
-			if rec, ok := opt.Cache.LoadAt(dse.DigestKey(points[i]), cfg.Seed, cfg.Fidelity); ok {
+			if rec, ok := opt.Cache.LoadAt(plan.Key(i), cfg.Seed, cfg.Fidelity); ok {
 				rec.Index = i
 				hits = append(hits, rec)
 				if opt.OnRecord != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -23,23 +22,13 @@ func tinySearch() dse.SearchSpec {
 }
 
 // TestCacheFidelityScoped pins the result-cache identity rule: records of
-// the same point at different fidelities live at different paths, a lookup
-// only answers at its own fidelity, and the full-fidelity path spelling is
-// the PR 5-era one — so caches written before fidelity existed keep hitting.
+// the same point at different fidelities are different entries, a lookup
+// only answers at its own fidelity, and fidelities 0 and 1 both name the
+// full-fidelity entry.
 func TestCacheFidelityScoped(t *testing.T) {
 	c := &Cache{Dir: t.TempDir()}
 	p := tinySearch().Points()[0]
 	key := fmt.Sprintf("%016x", p.Digest())
-
-	legacy := filepath.Join(c.Dir, key+".s1.json")
-	for _, f := range []int{0, 1} {
-		if got := c.PathAt(key, 1, f); got != legacy {
-			t.Fatalf("fidelity-%d path %q != legacy path %q", f, got, legacy)
-		}
-	}
-	if c.PathAt(key, 1, 8) == c.PathAt(key, 1, 0) {
-		t.Fatal("fidelity-8 and full-fidelity records must not share a cache path")
-	}
 
 	full := dse.Evaluate(p, 1)
 	proxy := dse.EvaluateAt(p, 1, 8)
@@ -51,6 +40,9 @@ func TestCacheFidelityScoped(t *testing.T) {
 	}
 	if rec, ok := c.LoadAt(key, 1, 0); !ok || rec.Fidelity != 0 {
 		t.Fatalf("full-fidelity lookup: ok=%v fidelity=%d", ok, rec.Fidelity)
+	}
+	if rec, ok := c.LoadAt(key, 1, 1); !ok || rec.Fidelity != 0 {
+		t.Fatalf("fidelity-1 lookup: ok=%v fidelity=%d, want the full-fidelity record", ok, rec.Fidelity)
 	}
 	if rec, ok := c.LoadAt(key, 1, 8); !ok || rec.Fidelity != 8 {
 		t.Fatalf("fidelity-8 lookup: ok=%v fidelity=%d", ok, rec.Fidelity)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -412,7 +413,8 @@ func equalLines(a, b []string) bool {
 	return true
 }
 
-// TestCacheRejectsCorruptEntries: a truncated or mislabeled entry is a miss.
+// TestCacheRejectsCorruptEntries: a torn or mislabeled line that supersedes
+// an entry is a miss, never a wrong record.
 func TestCacheRejectsCorruptEntries(t *testing.T) {
 	cache := &Cache{Dir: t.TempDir()}
 	spec := tinySpec()
@@ -424,23 +426,40 @@ func TestCacheRejectsCorruptEntries(t *testing.T) {
 	if _, ok := cache.LoadAt(key, 1, 0); !ok {
 		t.Fatal("expected cache hit before corruption")
 	}
-	path := cache.PathAt(key, 1, 0)
-	if err := os.WriteFile(path, []byte(`{"index":0`), 0o644); err != nil { // torn write
-		t.Fatal(err)
-	}
-	if _, ok := cache.LoadAt(key, 1, 0); ok {
+	// Each corruption is looked up by a Cache that reads the log afresh, as
+	// a restarted daemon would: the one that indexed the good line may keep
+	// serving it, and that is a valid record.
+	appendLog(t, cache, "\n"+key+` 1 0 {"index":0`+"\n") // torn write
+	if _, ok := (&Cache{Dir: cache.Dir}).LoadAt(key, 1, 0); ok {
 		t.Fatal("corrupt cache entry served")
 	}
-	// A record whose digest does not match its filename is rejected too.
-	data, err := os.ReadFile(cache.PathAt(fmt.Sprintf("%016x", spec.Points()[1].Digest()), 1, 0))
+	// A record filed under another point's key is rejected too.
+	other, ok := cache.LoadAt(fmt.Sprintf("%016x", spec.Points()[1].Digest()), 1, 0)
+	if !ok {
+		t.Fatal("expected a cache hit for the second point")
+	}
+	line, err := dse.AppendRecordLine([]byte("\n"+key+" 1 0 "), other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	appendLog(t, cache, string(line))
+	if _, ok := (&Cache{Dir: cache.Dir}).LoadAt(key, 1, 0); ok {
+		t.Fatal("mislabeled cache entry served")
+	}
+}
+
+// appendLog appends raw bytes to the cache's log, as a foreign writer would.
+func appendLog(t *testing.T, c *Cache, s string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(c.Dir, logName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.LoadAt(key, 1, 0); ok {
-		t.Fatal("mislabeled cache entry served")
+	if _, err := f.WriteString(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

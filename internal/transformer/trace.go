@@ -71,10 +71,17 @@ type TraceLayer struct {
 
 // Trace is the full per-layer activation record of one forward pass, in
 // execution order. It is the interface between the software model and the
-// hardware simulator.
+// hardware simulator, which treats it as read-only: once simulated, a
+// trace's layers must not change. The simulator reads the trace's spike
+// statistics from a memo the trace carries (Stats), so repeated evaluations
+// of one trace tag each tensor once per bundle shape. A Trace holds a lock
+// and must not be copied; to derive a variant, build a new Trace from Cfg
+// and a copy of Layers.
 type Trace struct {
 	Cfg    Config
 	Layers []TraceLayer
+
+	stats statsMemo
 }
 
 // ByGroup returns the traced layers whose Fig. 11 group matches g.
