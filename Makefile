@@ -25,9 +25,11 @@ bench:
 
 # Benchmark-regression gate (cmd/benchdiff): an interleaved A/B of the
 # hot-path benchmarks — the popcount kernel, TTB tagging, spike-driven GEMM,
-# the steady-state simulator (a statistics-memo hit), the simulator filling
-# a fresh trace's memo over a search rung's option sets, the 12-point sweep
-# grid — between the commit
+# Model 5 trace generation, the steady-state simulator (a statistics-memo
+# hit), the simulator filling a fresh trace's memo over a search rung's
+# option sets (`SimulatorColdRung` names both the one-goroutine benchmark
+# and its two-goroutine `SimulatorColdRungPair`), the 12-point sweep grid —
+# between the commit
 # BENCH_BASE (a git ref; CI passes HEAD^1) and the working tree. The base is
 # extracted with `git archive` into a temp directory outside the module, and
 # each gated package's test binary is built once per side. For 20 rounds,
@@ -42,8 +44,8 @@ bench:
 # 100ms samples keep the microsecond popcount kernel far above the timer's noise floor
 # while the multi-ms simulator and sweep benchmarks still finish promptly.
 BENCH_BASE ?= HEAD
-BENCH_GATE_PKGS = spike bundle snn accel dse
-BENCH_GATE_RUN = -test.run='^$$' -test.bench='Kernel|Retag|LinearForwardSpikes|SimulatorSteadyState|SimulatorColdRung|SweepGrid' \
+BENCH_GATE_PKGS = spike bundle snn workload accel dse
+BENCH_GATE_RUN = -test.run='^$$' -test.bench='Kernel|Retag|LinearForwardSpikes|TraceGeneration|SimulatorSteadyState|SimulatorColdRung|SweepGrid' \
 	-test.count=1 -test.benchtime=100ms -test.benchmem -test.timeout=2m
 bench-gate:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

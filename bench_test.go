@@ -52,16 +52,6 @@ func BenchmarkAccelSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceGeneration measures synthetic-trace synthesis for the
-// largest model — the cost the workload trace cache amortizes away.
-func BenchmarkTraceGeneration(b *testing.B) {
-	cfg := transformer.ModelZoo()[4]
-	sc := workload.Scenarios()[5]
-	for i := 0; i < b.N; i++ {
-		workload.SyntheticTrace(cfg, sc, workload.TraceOptions{}, uint64(i)+1)
-	}
-}
-
 // BenchmarkECPPrune measures ECP's own cost on a full-size Q/K pair.
 func BenchmarkECPPrune(b *testing.B) {
 	tr := trace(3, false, 1)

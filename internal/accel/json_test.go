@@ -2,6 +2,7 @@ package accel
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bundle"
@@ -40,6 +41,36 @@ func TestDecodeOptionsRejectsUnknownFields(t *testing.T) {
 	} {
 		if _, err := DecodeOptions([]byte(c)); err == nil {
 			t.Errorf("DecodeOptions(%q) must fail", c)
+		}
+	}
+}
+
+// TestValidateShapes pins which bundle shapes Validate, and so
+// DecodeOptions, accepts: the zero Shape (the default) or a positive one,
+// and only a positive ECP shape.
+func TestValidateShapes(t *testing.T) {
+	for _, opt := range []Options{{}, DefaultOptions(), sampleOptions()} {
+		if err := opt.Validate(); err != nil {
+			t.Errorf("%+v: %v", opt, err)
+		}
+	}
+	for _, c := range []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"Options.Shape", func(o *Options) { o.Shape = bundle.Shape{BSt: -1, BSn: 2} }},
+		{"Options.Shape", func(o *Options) { o.Shape = bundle.Shape{BSt: 0, BSn: 3} }},
+		{"Options.ECP.Shape", func(o *Options) { o.ECP = &bundle.ECPConfig{ThetaQ: 2, ThetaK: 2} }},
+	} {
+		opt := DefaultOptions()
+		c.set(&opt)
+		err := opt.Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), c.field+" ") {
+			t.Errorf("%+v: error %v, want one naming %s", opt, err, c.field)
+		}
+		data, _ := EncodeOptions(opt)
+		if _, err := DecodeOptions(data); err == nil {
+			t.Errorf("DecodeOptions(%s) accepted an invalid shape", data)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package accel
 import (
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bundle"
@@ -134,6 +135,48 @@ func TestPooledSimulateRetagsEveryWalk(t *testing.T) {
 					t.Fatalf("%d layers, round %d, %s: pooled report differs from a fresh Simulator's",
 						len(tr.Layers), round, s.name)
 				}
+			}
+		}
+	}
+}
+
+// TestSharedInputSharesActivity pins that layers reading one input share
+// one *bundle.Activity in the memo, also when several walks fill a fresh
+// trace's memo at once, each building some of its inputs.
+func TestSharedInputSharesActivity(t *testing.T) {
+	for name, base := range map[string]*transformer.Trace{
+		"synthetic": trace(4, false, 3),
+		"rewired":   rewired(trace(4, false, 3)),
+		"model":     ecpModelTrace(t),
+	} {
+		for _, walkers := range []int{1, 4} {
+			tr := &transformer.Trace{Cfg: base.Cfg, Layers: base.Layers}
+			var wg sync.WaitGroup
+			for range walkers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					Simulate(tr, DefaultOptions())
+				}()
+			}
+			wg.Wait()
+			lin := tr.Stats(bundle.DefaultShape).Linear()
+			linear := func(l transformer.TraceLayer) bool {
+				return l.Kind == transformer.KindProjection || l.Kind == transformer.KindMLP
+			}
+			shared := 0
+			for i, l := range tr.Layers {
+				for j := range i {
+					if linear(l) && linear(tr.Layers[j]) && tr.Layers[j].In == l.In {
+						shared++
+						if lin[i] != lin[j] {
+							t.Fatalf("%s trace, %d walkers: layers %d and %d read one input but hold two Activities", name, walkers, j, i)
+						}
+					}
+				}
+			}
+			if shared == 0 {
+				t.Fatalf("%s trace shares no input; the test would prove nothing", name)
 			}
 		}
 	}

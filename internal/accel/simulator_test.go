@@ -2,6 +2,7 @@ package accel
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/bundle"
@@ -117,6 +118,46 @@ func BenchmarkSimulatorSteadyState(b *testing.B) {
 // walk tags every linear input, the first ECP walk every query and key; the
 // rest read the memo.
 func BenchmarkSimulatorColdRung(b *testing.B) {
+	base, sims := coldRung()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := &transformer.Trace{Cfg: base.Cfg, Layers: base.Layers}
+		for _, sim := range sims {
+			sim.Simulate(tr)
+		}
+	}
+}
+
+// BenchmarkSimulatorColdRungPair gates the shared memo fill in `make
+// bench-gate`: BenchmarkSimulatorColdRung's walks split between two
+// goroutines that start on the fresh trace at once, as two sweep workers
+// do, the first taking the θ of 0 and 4 and the second 6 and 8. Both ask
+// for the linear inputs first and build them together.
+func BenchmarkSimulatorColdRungPair(b *testing.B) {
+	base, sims := coldRung()
+	halves := [2][]*Simulator{sims[:len(sims)/2], sims[len(sims)/2:]}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := &transformer.Trace{Cfg: base.Cfg, Layers: base.Layers}
+		var wg sync.WaitGroup
+		for _, half := range halves {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, sim := range half {
+					sim.Simulate(tr)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// coldRung returns the fidelity-8 Model 4 trace and the Simulators of the
+// cold-rung benchmarks, in θ order.
+func coldRung() (*transformer.Trace, []*Simulator) {
 	base := workload.SyntheticTrace(transformer.ModelZoo()[3], workload.Scenarios()[4],
 		workload.TraceOptions{Scale: 8}, 1)
 	var sims []*Simulator
@@ -130,12 +171,5 @@ func BenchmarkSimulatorColdRung(b *testing.B) {
 			sims = append(sims, NewSimulator(opt))
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := &transformer.Trace{Cfg: base.Cfg, Layers: base.Layers}
-		for _, sim := range sims {
-			sim.Simulate(tr)
-		}
-	}
+	return base, sims
 }

@@ -205,8 +205,10 @@ func (s Space) Validate() error {
 		}
 	}
 	for _, sh := range n.Shapes {
-		if sh.BSt <= 0 || sh.BSn <= 0 {
-			return fmt.Errorf("dse: invalid TTB shape %+v", sh)
+		// A point's ECP shape is its TTB shape, so each must be positive.
+		opt := accel.Options{Shape: sh, ECP: &bundle.ECPConfig{Shape: sh}}
+		if err := opt.Validate(); err != nil {
+			return fmt.Errorf("dse: invalid TTB shape: %w", err)
 		}
 	}
 	for _, f := range n.SplitTargets {

@@ -573,6 +573,29 @@ func TestEvaluateEndpoint(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsInvalidShapes pins that bishop options whose bundle
+// shape or ECP shape the simulator cannot run get a 400 naming the field,
+// not a handler panic that drops the connection.
+func TestEvaluateRejectsInvalidShapes(t *testing.T) {
+	ts, _ := newTestServer(t, ManagerConfig{})
+	for body, field := range map[string]string{
+		`{"model":4,"options":{"Shape":{"BSt":-1,"BSn":2}}}`:                                   "Options.Shape",
+		`{"model":4,"options":{"Shape":{"BSt":0,"BSn":3}}}`:                                    "Options.Shape",
+		`{"model":4,"options":{"ECP":{"Shape":{"BSt":0,"BSn":0},"ThetaQ":2,"ThetaK":2}}}`:      "Options.ECP.Shape",
+		`{"model":4,"options":{"Shape":{"BSt":4,"BSn":2},"ECP":{"Shape":{"BSt":4,"BSn":-2}}}}`: "Options.ECP.Shape",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("evaluate(%s): %v", body, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), field) {
+			t.Errorf("evaluate(%s): status %d, body %q; want 400 naming %s", body, resp.StatusCode, msg, field)
+		}
+	}
+}
+
 // TestBackendsEndpoint pins GET /v1/backends against the registry.
 func TestBackendsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, ManagerConfig{})

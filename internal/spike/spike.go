@@ -138,6 +138,33 @@ func (s *Tensor) Set(t, n, d int, v bool) {
 	}
 }
 
+// SetBlock sets feature d at the slots of block [t0,t1)×[n0,n1) whose bit
+// is set in mask, slot i being token row (t0+i/(n1-n0), n0+i%(n1-n0)) —
+// the block in (t, n) order, like CountBlock's. It only sets bits, never
+// clears them. The block must lie inside the tensor, be non-empty and hold
+// at most 64 slots. It is the word-level writer of the trace generator:
+// one bounds check a block instead of one a bit.
+func (s *Tensor) SetBlock(t0, t1, n0, n1, d int, mask uint64) {
+	w := n1 - n0
+	if t0 < 0 || t1 > s.T || n0 < 0 || n1 > s.N || t1 <= t0 || w <= 0 || (t1-t0)*w > 64 {
+		panic(fmt.Sprintf("spike: block [%d,%d)x[%d,%d) out of %dx%d or over 64 slots", t0, t1, n0, n1, s.T, s.N))
+	}
+	if d < 0 || d >= s.D {
+		panic(fmt.Sprintf("spike: feature %d out of %d", d, s.D))
+	}
+	b := uint(d) & 63
+	i := s.rowStart(t0, n0) + d>>6
+	skip := (s.N - w) * s.wpr // from past a block row to the next one's start
+	for range t1 - t0 {
+		for range w {
+			s.words[i] |= mask & 1 << b
+			mask >>= 1
+			i += s.wpr
+		}
+		i += skip
+	}
+}
+
 // Count returns the total number of spikes in the tensor.
 func (s *Tensor) Count() int {
 	return countWords(s.words)

@@ -180,3 +180,47 @@ func TestStringContainsShape(t *testing.T) {
 		t.Fatal("empty string")
 	}
 }
+
+// TestSetBlockMatchesSet pins SetBlock to one Set per mask bit, slot i at
+// row (t0+i/w, n0+i%w), over blocks at the tensor's edges, features in the
+// last, padded word, and a 64-slot block; bits already set stay set.
+func TestSetBlockMatchesSet(t *testing.T) {
+	rng := tensor.NewRNG(4)
+	const T, N, D = 9, 21, 131
+	blocks := [][4]int{{0, 4, 0, 2}, {8, 9, 20, 21}, {5, 9, 17, 21}, {0, 1, 0, 21}, {1, 9, 13, 21}, {0, 9, 0, 1}}
+	for _, bl := range blocks {
+		for _, d := range []int{0, 63, 64, 130} {
+			got, want := NewTensor(T, N, D), NewTensor(T, N, D)
+			got.Set(bl[0], bl[2], d, true) // a bit the mask leaves clear stays set
+			want.Set(bl[0], bl[2], d, true)
+			mask := rng.Uint64() &^ 1
+			got.SetBlock(bl[0], bl[1], bl[2], bl[3], d, mask)
+			w := bl[3] - bl[2]
+			for i := range (bl[1] - bl[0]) * w {
+				if mask>>i&1 == 1 {
+					want.Set(bl[0]+i/w, bl[2]+i%w, d, true)
+				}
+			}
+			if !got.Equal(want) {
+				t.Fatalf("block %v feature %d: SetBlock differs from Set per bit", bl, d)
+			}
+		}
+	}
+}
+
+func TestSetBlockRejectsBadBlocks(t *testing.T) {
+	s := NewTensor(4, 20, 10)
+	for _, c := range []struct{ t0, t1, n0, n1, d int }{
+		{-1, 1, 0, 1, 0}, {0, 5, 0, 1, 0}, {0, 1, -1, 1, 0}, {0, 1, 0, 21, 0},
+		{1, 1, 0, 1, 0}, {0, 1, 2, 2, 0}, {0, 4, 0, 17, 0}, {0, 1, 0, 1, -1}, {0, 1, 0, 1, 10},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetBlock(%+v) did not panic", c)
+				}
+			}()
+			s.SetBlock(c.t0, c.t1, c.n0, c.n1, c.d, 1)
+		}()
+	}
+}

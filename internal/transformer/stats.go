@@ -2,7 +2,9 @@ package transformer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bundle"
 )
@@ -17,19 +19,20 @@ type statsMemo struct {
 // ShapeStats is the memo of one trace's spike statistics under one bundle
 // shape: the bundle.Activity of every linear layer's input, and the per-row
 // counts n_ab of every unmasked attention layer's query and key (what ECP
-// thresholds). Each of the two parts is computed once, by the first caller
-// that needs it, tagging every distinct tensor once (Wq, Wk and Wv read one
-// input); concurrent callers wait for it and then share it. It holds counts
-// only — O(distinct counts) per linear input and one int32 per bundle row
-// per query or key — and is immutable once built.
+// thresholds). Each of the two parts is filled once, by every caller that
+// asks for it before it is complete: the first lists the part's tensors
+// (each distinct linear input once, since Wq, Wk and Wv read one; each
+// query and key), and all of them build tensors in turn until none is left
+// (fill). It holds counts only — O(distinct counts) per linear input and
+// one int32 per bundle row per query or key — and is immutable once built.
 type ShapeStats struct {
 	tr    *Trace
 	shape bundle.Shape
 
-	linOnce sync.Once
+	linFill fill
 	lin     []*bundle.Activity
 
-	rowsOnce sync.Once
+	rowsFill fill
 	q, k     []*bundle.RowActivity
 }
 
@@ -60,7 +63,7 @@ func (tr *Trace) Stats(sh bundle.Shape) *ShapeStats {
 // Linear returns the Activity of every projection and MLP layer's input,
 // indexed like the trace's Layers (nil at other layers).
 func (s *ShapeStats) Linear() []*bundle.Activity {
-	s.linOnce.Do(s.buildLinear)
+	s.run(&s.linFill, linearPart)
 	return s.lin
 }
 
@@ -68,46 +71,89 @@ func (s *ShapeStats) Linear() []*bundle.Activity {
 // carries no keep-masks, indexed like the trace's Layers (nil at other
 // layers).
 func (s *ShapeStats) Rows() (q, k []*bundle.RowActivity) {
-	s.rowsOnce.Do(s.buildRows)
+	s.run(&s.rowsFill, rowsPart)
 	return s.q, s.k
+}
+
+// part names one of the memo's two parts.
+type part uint8
+
+const (
+	linearPart part = iota // task i is layer i's input
+	rowsPart               // task i is layer i/2's query (even i) or key (odd i)
+)
+
+// fill is the shared build of one memo part. The part's tasks are numbered
+// by layer, so listing them takes no memory. The first caller sizes the
+// part; then each caller claims tasks through an atomic counter, builds
+// them with a pooled ActivityBuilder of its own, and returns once every
+// task, its own and the other callers', is done. So concurrent evaluations
+// of one trace split a part's work instead of waiting for one of them to
+// do it all, and since a result depends only on (tensor, shape), the memo
+// is the same at any number of callers. Once it is complete, a call is
+// three atomic loads.
+type fill struct {
+	once    sync.Once
+	tasks   int
+	next    atomic.Int32   // next task to claim
+	pending sync.WaitGroup // tasks not yet done
 }
 
 // builders recycles the tag and counting buffers of memo builds.
 var builders = sync.Pool{New: func() any { return new(bundle.ActivityBuilder) }}
 
-func (s *ShapeStats) buildLinear() {
-	b := builders.Get().(*bundle.ActivityBuilder)
-	defer builders.Put(b)
-	s.lin = make([]*bundle.Activity, len(s.tr.Layers))
-	for i, l := range s.tr.Layers {
-		if l.Kind == KindProjection || l.Kind == KindMLP {
-			s.lin[i] = s.sharedLinear(i)
-			if s.lin[i] == nil {
-				s.lin[i] = b.Activity(l.In, s.shape)
-			}
+// run fills part p through f.
+func (s *ShapeStats) run(f *fill, p part) {
+	f.once.Do(func() {
+		f.tasks = len(s.tr.Layers)
+		if p == linearPart {
+			s.lin = make([]*bundle.Activity, f.tasks)
+		} else {
+			s.q = make([]*bundle.RowActivity, f.tasks)
+			s.k = make([]*bundle.RowActivity, f.tasks)
+			f.tasks *= 2
+		}
+		f.pending.Add(f.tasks)
+	})
+	if int(f.next.Load()) < f.tasks {
+		b := builders.Get().(*bundle.ActivityBuilder)
+		for i := int(f.next.Add(1)) - 1; i < f.tasks; i = int(f.next.Add(1)) - 1 {
+			s.build(f, b, p, i)
+		}
+		builders.Put(b)
+	}
+	f.pending.Wait()
+}
+
+// build runs task i of part p. It marks the task done even when it panics,
+// so the other callers do not wait for it forever.
+func (s *ShapeStats) build(f *fill, b *bundle.ActivityBuilder, p part, i int) {
+	defer f.pending.Done()
+	layers := s.tr.Layers
+	if p == rowsPart {
+		l := layers[i/2]
+		switch {
+		case l.Kind != KindAttention || l.QKeep != nil:
+		case i%2 == 0:
+			s.q[i/2] = b.Rows(l.Q, s.shape)
+		default:
+			s.k[i/2] = b.Rows(l.K, s.shape)
+		}
+		return
+	}
+	// The first linear layer that reads an input builds its Activity for
+	// every linear layer that reads it (Wq, Wk and Wv share one).
+	in := layers[i].In
+	if !isLinear(layers[i]) || slices.ContainsFunc(layers[:i], func(l TraceLayer) bool { return isLinear(l) && l.In == in }) {
+		return
+	}
+	a := b.Activity(in, s.shape)
+	for j := i; j < len(layers); j++ {
+		if isLinear(layers[j]) && layers[j].In == in {
+			s.lin[j] = a
 		}
 	}
 }
 
-// sharedLinear returns the Activity built for an earlier linear layer that
-// reads layer i's input, or nil.
-func (s *ShapeStats) sharedLinear(i int) *bundle.Activity {
-	for j := i - 1; j >= 0; j-- {
-		if s.lin[j] != nil && s.tr.Layers[j].In == s.tr.Layers[i].In {
-			return s.lin[j]
-		}
-	}
-	return nil
-}
-
-func (s *ShapeStats) buildRows() {
-	b := builders.Get().(*bundle.ActivityBuilder)
-	defer builders.Put(b)
-	s.q = make([]*bundle.RowActivity, len(s.tr.Layers))
-	s.k = make([]*bundle.RowActivity, len(s.tr.Layers))
-	for i, l := range s.tr.Layers {
-		if l.Kind == KindAttention && l.QKeep == nil {
-			s.q[i], s.k[i] = b.Rows(l.Q, s.shape), b.Rows(l.K, s.shape)
-		}
-	}
-}
+// isLinear reports whether l is a projection or MLP layer.
+func isLinear(l TraceLayer) bool { return l.Kind == KindProjection || l.Kind == KindMLP }

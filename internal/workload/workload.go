@@ -10,6 +10,8 @@
 package workload
 
 import (
+	"math"
+
 	"repro/internal/bundle"
 	"repro/internal/spike"
 	"repro/internal/tensor"
@@ -32,7 +34,7 @@ type Params struct {
 	RowScale float64 // activity multiplier for the remaining (cold) rows
 }
 
-// Validate clamps probabilities into [0,1]; a convenience for sweeps.
+// clamp clamps the probabilities into [0,1]; NaN stays NaN.
 func (p *Params) clamp() {
 	c := func(v *float64) {
 		if *v < 0 {
@@ -81,6 +83,17 @@ func (p Params) WithRowSkew(rowHot, rowScale float64) Params {
 }
 
 // Generate produces a T×N×D spike tensor with the configured statistics.
+//
+// It makes one rng.Uint64 call per decision: a feature's tier, a bundle
+// row's multiplier, a (bundle, feature) activation when the feature's
+// probability is nonzero, one per slot of an active bundle, and two
+// placement draws for an active bundle that drew no spike. Each draw is
+// compared as the 53-bit integer k = Uint64()>>11 that Float64 divides by
+// 2^53 (xorshift64*, Vigna, ACM TOMS 2016), against a threshold computed
+// once per tier and row multiplier (below). That gives the same bits and
+// the same final RNG state as comparing Float64 draws, which is what keeps
+// trace digests and stored traces valid, without a float conversion per
+// draw; an active bundle's slots are drawn into a mask without a branch.
 func Generate(rng *tensor.RNG, T, N, D int, p Params) *spike.Tensor {
 	p.clamp()
 	sh := p.Shape
@@ -88,54 +101,116 @@ func Generate(rng *tensor.RNG, T, N, D int, p Params) *spike.Tensor {
 	nbt := (T + sh.BSt - 1) / sh.BSt
 	nbn := (N + sh.BSn - 1) / sh.BSn
 
-	// Assign feature tiers.
-	probs := make([]float64, D)
-	for d := 0; d < D; d++ {
-		r := rng.Float64()
+	// Assign feature tiers. live lists the features that draw for every
+	// bundle, as d<<1 | tier (hot 0, cold 1); a feature whose probability
+	// is 0 draws nothing.
+	prob := [2]float64{p.HotProb, p.ColdProb}
+	zero, hot := below(p.ZeroFrac), below(p.ZeroFrac+(1-p.ZeroFrac)*p.HotFrac)
+	live := make([]uint32, 0, D)
+	for d := range D {
+		k := rng.Uint64() >> 11
+		tier := 1
 		switch {
-		case r < p.ZeroFrac:
-			probs[d] = 0
-		case r < p.ZeroFrac+(1-p.ZeroFrac)*p.HotFrac:
-			probs[d] = p.HotProb
-		default:
-			probs[d] = p.ColdProb
+		case k < zero:
+			continue
+		case k < hot:
+			tier = 0
+		}
+		if prob[tier] != 0 {
+			live = append(live, uint32(d<<1|tier))
 		}
 	}
-	// Assign row multipliers.
-	rows := make([]float64, nbt*nbn)
+	// Assign row multipliers: 0 is full activity, 1 is RowScale.
+	rowHot := below(p.RowHot)
+	rows := make([]uint8, nbt*nbn)
 	for i := range rows {
-		if rng.Float64() < p.RowHot {
+		if rng.Uint64()>>11 >= rowHot {
 			rows[i] = 1
-		} else {
-			rows[i] = p.RowScale
 		}
 	}
-
-	for bt := 0; bt < nbt; bt++ {
-		for bn := 0; bn < nbn; bn++ {
-			rowMul := rows[bt*nbn+bn]
-			for d := 0; d < D; d++ {
-				if probs[d] == 0 || rng.Float64() >= probs[d]*rowMul {
-					continue
-				}
-				// Active bundle: fill slots at InBundle density,
-				// guaranteeing at least one spike.
-				placed := false
-				for t := bt * sh.BSt; t < (bt+1)*sh.BSt && t < T; t++ {
-					for n := bn * sh.BSn; n < (bn+1)*sh.BSn && n < N; n++ {
-						if rng.Float64() < p.InBundle {
-							s.Set(t, n, d, true)
-							placed = true
-						}
-					}
-				}
-				if !placed {
-					t := bt*sh.BSt + rng.Intn(min(sh.BSt, T-bt*sh.BSt))
-					n := bn*sh.BSn + rng.Intn(min(sh.BSn, N-bn*sh.BSn))
-					s.Set(t, n, d, true)
-				}
+	// A bundle is inactive when its draw u ≥ prob·rowMul, so a NaN
+	// product (clamp keeps NaN) activates every bundle.
+	var active [2][2]uint64
+	for r, mul := range [2]float64{1, p.RowScale} {
+		for tier, pr := range prob {
+			if x := pr * mul; math.IsNaN(x) {
+				active[r][tier] = 1 << 53
+			} else {
+				active[r][tier] = below(x)
 			}
 		}
 	}
+	in := below(p.InBundle)
+
+	for bt := 0; bt < nbt; bt++ {
+		t0 := bt * sh.BSt
+		t1 := min(t0+sh.BSt, T)
+		for bn := 0; bn < nbn; bn++ {
+			n0 := bn * sh.BSn
+			fillBundles(rng, s, live, &active[rows[bt*nbn+bn]], in, t0, t1, n0, min(n0+sh.BSn, N))
+		}
+	}
 	return s
+}
+
+// fillBundles draws the bundles of block [t0,t1)×[n0,n1), one per live
+// feature: each is active when its draw is under the feature's tier
+// threshold in thr, and an active bundle's slots fire at InBundle density
+// (threshold in), at least one of them.
+func fillBundles(rng *tensor.RNG, s *spike.Tensor, live []uint32, thr *[2]uint64, in uint64, t0, t1, n0, n1 int) {
+	w := n1 - n0
+	slots := (t1 - t0) * w
+	for _, e := range live {
+		if rng.Uint64()>>11 >= thr[e&1] {
+			continue
+		}
+		d := int(e >> 1)
+		if slots > 64 {
+			fillSlots(rng, s, t0, t1, n0, n1, d, in)
+			continue
+		}
+		var m uint64
+		for i := range slots {
+			// k < in exactly when k-in wraps: k < 2^53, in ≤ 2^53.
+			m |= (rng.Uint64()>>11 - in) >> 63 << i
+		}
+		if m == 0 {
+			t := rng.Intn(t1 - t0)
+			m = 1 << (t*w + rng.Intn(w))
+		}
+		s.SetBlock(t0, t1, n0, n1, d, m)
+	}
+}
+
+// fillSlots fills the slots of an active bundle too large for one mask
+// (over 64 slots) the plain way: one draw and one checked Set a slot, in
+// (t, n) order, and the placement draws when no slot fired.
+func fillSlots(rng *tensor.RNG, s *spike.Tensor, t0, t1, n0, n1, d int, in uint64) {
+	placed := false
+	for t := t0; t < t1; t++ {
+		for n := n0; n < n1; n++ {
+			if rng.Uint64()>>11 < in {
+				s.Set(t, n, d, true)
+				placed = true
+			}
+		}
+	}
+	if !placed {
+		t := t0 + rng.Intn(t1-t0)
+		s.Set(t, n0+rng.Intn(n1-n0), d, true)
+	}
+}
+
+// below returns how many 53-bit draws k fall under p: a Float64 draw
+// u = k/2^53 is under p exactly when k < below(p). p·2^53 is exact, so
+// its ceiling is the first k at or above p. NaN gives 0, as u < NaN never
+// holds.
+func below(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << 53
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	}
+	return 0
 }

@@ -1,13 +1,197 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bundle"
+	"repro/internal/spike"
 	"repro/internal/tensor"
 	"repro/internal/transformer"
 )
+
+// refGenerate is Generate as it was written before its draws were compared
+// as integers: a Float64 per decision and a checked Set per spike. It is the
+// oracle Generate must match bit for bit, RNG state included.
+func refGenerate(rng *tensor.RNG, T, N, D int, p Params) *spike.Tensor {
+	p.clamp()
+	sh := p.Shape
+	s := spike.NewTensor(T, N, D)
+	nbt := (T + sh.BSt - 1) / sh.BSt
+	nbn := (N + sh.BSn - 1) / sh.BSn
+
+	probs := make([]float64, D)
+	for d := 0; d < D; d++ {
+		r := rng.Float64()
+		switch {
+		case r < p.ZeroFrac:
+			probs[d] = 0
+		case r < p.ZeroFrac+(1-p.ZeroFrac)*p.HotFrac:
+			probs[d] = p.HotProb
+		default:
+			probs[d] = p.ColdProb
+		}
+	}
+	rows := make([]float64, nbt*nbn)
+	for i := range rows {
+		if rng.Float64() < p.RowHot {
+			rows[i] = 1
+		} else {
+			rows[i] = p.RowScale
+		}
+	}
+
+	for bt := 0; bt < nbt; bt++ {
+		for bn := 0; bn < nbn; bn++ {
+			rowMul := rows[bt*nbn+bn]
+			for d := 0; d < D; d++ {
+				if probs[d] == 0 || rng.Float64() >= probs[d]*rowMul {
+					continue
+				}
+				placed := false
+				for t := bt * sh.BSt; t < (bt+1)*sh.BSt && t < T; t++ {
+					for n := bn * sh.BSn; n < (bn+1)*sh.BSn && n < N; n++ {
+						if rng.Float64() < p.InBundle {
+							s.Set(t, n, d, true)
+							placed = true
+						}
+					}
+				}
+				if !placed {
+					t := bt*sh.BSt + rng.Intn(min(sh.BSt, T-bt*sh.BSt))
+					n := bn*sh.BSn + rng.Intn(min(sh.BSn, N-bn*sh.BSn))
+					s.Set(t, n, d, true)
+				}
+			}
+		}
+	}
+	return s
+}
+
+// checkAgainstRef generates one tensor with Generate and with refGenerate
+// from equal seeds and reports a difference in the words or in the RNG
+// state left behind.
+func checkAgainstRef(seed uint64, T, N, D int, p Params) error {
+	rg, rr := tensor.NewRNG(seed), tensor.NewRNG(seed)
+	got, want := Generate(rg, T, N, D, p), refGenerate(rr, T, N, D, p)
+	if !slices.Equal(got.Words(), want.Words()) {
+		return fmt.Errorf("%dx%dx%d %+v: words differ (%d spikes, want %d)", T, N, D, p, got.Count(), want.Count())
+	}
+	if g, w := rg.Uint64(), rr.Uint64(); g != w {
+		return fmt.Errorf("%dx%dx%d %+v: next draw %#x, want %#x", T, N, D, p, g, w)
+	}
+	return nil
+}
+
+// TestGenerateMatchesReference pins Generate to refGenerate over every
+// scenario (with and without BSA, with the Q and K row skew), the standard
+// bundle shapes plus non-nesting and over-64-slot ones, ragged tensor
+// sizes, and parameters at their extremes.
+func TestGenerateMatchesReference(t *testing.T) {
+	shapes := []bundle.Shape{{BSt: 1, BSn: 2}, {BSt: 2, BSn: 2}, {BSt: 4, BSn: 2}, {BSt: 4, BSn: 4},
+		{BSt: 3, BSn: 5}, {BSt: 3, BSn: 30}, {BSt: 1, BSn: 70}}
+	dims := [][3]int{{8, 16, 128}, {5, 13, 70}, {7, 75, 129}, {1, 1, 1}}
+	seed := uint64(1)
+	for _, sc := range Scenarios() {
+		for _, bsa := range []bool{false, true} {
+			density, bd, zf := sc.Density, sc.BundleDensity, sc.ZeroFrac
+			if bsa {
+				density, bd, zf = sc.DensityBSA, sc.BundleDensityBSA, sc.ZeroFracBSA
+			}
+			for _, sh := range shapes {
+				proj := Fit(sh, density, bd, zf)
+				for _, p := range []Params{proj, proj.WithRowSkew(sc.QRowHot, 0.15), proj.WithRowSkew(sc.KRowHot, 0.15)} {
+					for _, dm := range dims {
+						seed++
+						if err := checkAgainstRef(seed, dm[0], dm[1], dm[2], p); err != nil {
+							t.Errorf("model %d bsa %v: %v", sc.Model, bsa, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	base := Params{Shape: bundle.DefaultShape, ZeroFrac: 0.1, HotFrac: 0.3,
+		HotProb: 0.5, ColdProb: 0.2, InBundle: 0.4, RowHot: 0.5, RowScale: 0.3}
+	extremes := map[string]func(*Params){
+		"all zero": func(p *Params) { *p = Params{Shape: p.Shape} },
+		"all one": func(p *Params) {
+			*p = Params{Shape: p.Shape, ZeroFrac: 1, HotFrac: 1, HotProb: 1, ColdProb: 1, InBundle: 1, RowHot: 1, RowScale: 1}
+		},
+		"no silent":       func(p *Params) { p.ZeroFrac = 0 },
+		"all hot":         func(p *Params) { p.HotFrac = 1 },
+		"hot prob 0":      func(p *Params) { p.HotProb = 0 },
+		"cold prob 0":     func(p *Params) { p.ColdProb = 0 },
+		"cold prob 1":     func(p *Params) { p.ColdProb = 1 },
+		"in-bundle 1":     func(p *Params) { p.InBundle = 1 },
+		"in-bundle 0":     func(p *Params) { p.InBundle = 0 },
+		"in-bundle tiny":  func(p *Params) { p.InBundle = 1e-3 },
+		"row scale tiny":  func(p *Params) { p.RowScale = 1e-9 },
+		"row scale 0":     func(p *Params) { p.RowScale = 0 },
+		"rows all cold":   func(p *Params) { p.RowHot = 0 },
+		"subnormal":       func(p *Params) { p.HotProb, p.InBundle = 5e-324, 1e-310 },
+		"below one":       func(p *Params) { p.HotProb, p.InBundle = math.Nextafter(1, 0), math.Nextafter(1, 0) },
+		"out of range":    func(p *Params) { p.HotProb, p.ColdProb, p.RowScale = 7, -2, math.Inf(1) },
+		"negative zero":   func(p *Params) { p.HotProb = math.Copysign(0, -1) },
+		"NaN probability": func(p *Params) { p.HotProb, p.ColdProb = math.NaN(), math.NaN() },
+		"NaN elsewhere":   func(p *Params) { p.ZeroFrac, p.RowHot, p.InBundle = math.NaN(), math.NaN(), math.NaN() },
+	}
+	for name, set := range extremes {
+		for _, sh := range shapes {
+			p := base
+			p.Shape = sh
+			set(&p)
+			for _, dm := range dims {
+				seed++
+				if err := checkAgainstRef(seed, dm[0], dm[1], dm[2], p); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
+		}
+	}
+}
+
+// TestBelowMatchesFloatCompare pins below's threshold to the float compare
+// it replaces, u = k/2^53 < p exactly when k < below(p), at the values a
+// random generator test almost never draws: k on, just under and just over
+// p·2^53, and p at its extremes.
+func TestBelowMatchesFloatCompare(t *testing.T) {
+	rng := tensor.NewRNG(11)
+	ps := []float64{0, math.Copysign(0, -1), 5e-324, 1e-300, 0.5, math.Nextafter(1, 0), 1, 7, -3,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	for range 1000 {
+		k := rng.Uint64() >> 11
+		u := float64(k) / (1 << 53)
+		for _, p := range append(ps, u, math.Nextafter(u, 0), math.Nextafter(u, 2)) {
+			for _, k := range []uint64{k, 0, 1<<53 - 1} {
+				if got, want := k < below(p), float64(k)/(1<<53) < p; got != want {
+					t.Fatalf("k=%d p=%g: k < below(p) is %v, k/2^53 < p is %v", k, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzGenerateMatchesReference checks Generate against refGenerate on
+// arbitrary sizes, shapes (up to 6x80, so over 64 slots) and parameters,
+// NaN and out-of-range values included.
+func FuzzGenerateMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(7), uint8(40), uint8(100), uint8(3), uint8(1),
+		0.1, 0.3, 0.5, 0.2, 0.4, 0.5, 0.15)
+	f.Add(uint64(9), uint8(3), uint8(75), uint8(63), uint8(0), uint8(69),
+		0.0, 1.0, 1.0, 0.0, 1e-3, 0.0, 1e-9)
+	f.Fuzz(func(t *testing.T, seed uint64, tt, nn, dd, bst, bsn uint8,
+		zero, hotFrac, hotProb, coldProb, inBundle, rowHot, rowScale float64) {
+		p := Params{Shape: bundle.Shape{BSt: 1 + int(bst)%6, BSn: 1 + int(bsn)%80},
+			ZeroFrac: zero, HotFrac: hotFrac, HotProb: hotProb, ColdProb: coldProb,
+			InBundle: inBundle, RowHot: rowHot, RowScale: rowScale}
+		if err := checkAgainstRef(seed, 1+int(tt)%12, 1+int(nn)%90, 1+int(dd), p); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
 
 func TestFitHitsTargetDensities(t *testing.T) {
 	sh := bundle.Shape{BSt: 4, BSn: 2}
