@@ -68,13 +68,16 @@ bench-gate:
 # `go test ./...` stops at its boundary: a change to a signature it calls or
 # to the records it digests would go unseen. Vet and test the module, then
 # run one short seeded grid-cold pass, which exits nonzero when its record
-# digest no longer matches perfbench/pins.json, and one short fleet-merge
-# pass, which exits nonzero unless the coordinator's merged checkpoint is
-# byte-identical to serve.Run's and no worker evaluated a point. Everything
-# the runs build or write stays under .bench_build/.
+# digest no longer matches perfbench/pins.json. It runs traced (--trace 1),
+# so the per-layer breakdown's calls to bundle.Tag, Stratify* and
+# hw.LinearStats.Split run here instead of only compiling. Then run one
+# short fleet-merge pass, which exits nonzero unless the coordinator's
+# merged checkpoint is byte-identical to serve.Run's and no worker
+# evaluated a point. Everything the runs build or write stays under
+# .bench_build/.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
-	bash perfbench/run.sh --workload grid-cold --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload grid-cold --seed 1 --seconds 2 --trace 1
 	bash perfbench/run.sh --workload fleet-merge --seed 1 --seconds 2 --trace 0
 
 fmt:

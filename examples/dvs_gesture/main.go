@@ -32,11 +32,11 @@ func main() {
 	q := m.Trace().ByGroup("ATN")[0].Q
 	fmt.Println("bundle shape   TTB density   spikes per active bundle")
 	for _, sh := range []bundle.Shape{{BSt: 1, BSn: 1}, {BSt: 2, BSn: 2}, {BSt: 3, BSn: 2}, {BSt: 6, BSn: 4}} {
-		tg := bundle.Tag(q, sh)
+		a := bundle.Tag(q, sh)
 		per := 0.0
-		if tg.ActiveBundles() > 0 {
-			per = float64(tg.SpikeCount()) / float64(tg.ActiveBundles())
+		if a.ActiveBundles > 0 {
+			per = float64(a.Spikes) / float64(a.ActiveBundles)
 		}
-		fmt.Printf("(%d,%d)          %.3f         %.2f\n", sh.BSt, sh.BSn, tg.BundleDensity(), per)
+		fmt.Printf("(%d,%d)          %.3f         %.2f\n", sh.BSt, sh.BSn, a.BundleDensity(), per)
 	}
 }

@@ -3,6 +3,7 @@ package bundle
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/spike"
 )
@@ -31,6 +32,17 @@ func (rs Runs) Cut(theta int) int {
 	return k
 }
 
+// Totals returns the feature columns, spikes and active bundles the runs
+// hold together.
+func (rs Runs) Totals() (features, spikes, bundles int) {
+	for _, r := range rs {
+		features += int(r.Features)
+		spikes += int(r.Spikes)
+		bundles += int(r.Active) * int(r.Features)
+	}
+	return features, spikes, bundles
+}
+
 // SplitTheta picks the θ_s that routes approximately targetDenseFrac of the
 // features to the dense core — the per-layer balancing strategy of §6.5.1.
 // With the D counts sorted ascending and k = round(target·D) features wanted
@@ -41,10 +53,7 @@ func (rs Runs) SplitTheta(targetDenseFrac float64) int {
 	if len(rs) == 0 {
 		return 0
 	}
-	d := 0
-	for _, r := range rs {
-		d += int(r.Features)
-	}
+	d, _, _ := rs.Totals()
 	k := int(targetDenseFrac*float64(d) + 0.5)
 	switch {
 	case k <= 0:
@@ -65,11 +74,12 @@ func (rs Runs) SplitTheta(targetDenseFrac float64) int {
 }
 
 // Activity is the per-feature activity of one tensor under one bundle shape,
-// reduced to what the stratifier (Alg. 1) and the dense and sparse core
-// models read. They read the per-feature active-bundle counts only as a
-// multiset — the dense core sums min(count, tiles) over features, the sparse
-// core reads totals, and Alg. 1 tests count > θ_s and sums spikes — so Runs
-// holds each count that occurs once. A stratification at θ is then a cut of
+// reduced to what the stratifier (Alg. 1), the dense and sparse core models
+// and the Fig. 5 and Fig. 6 statistics read. They read the per-feature
+// active-bundle counts only as a multiset — the dense core sums
+// min(count, tiles) over features, the sparse core reads totals, Alg. 1
+// tests count > θ_s and sums spikes, and the figures bucket the counts —
+// so Runs holds each count that occurs once. A stratification at θ is then a cut of
 // Runs: the dense partition is the suffix with Active > θ and the sparse
 // partition the prefix. An Activity is immutable once built; a traced
 // tensor's lives in its trace's statistics memo.
@@ -82,6 +92,38 @@ type Activity struct {
 	Runs          Runs
 }
 
+// BundleDensity is the fraction of the tensor's bundles that are active —
+// the "TTB density" reported in Fig. 6.
+func (a *Activity) BundleDensity() float64 {
+	return float64(a.ActiveBundles) / float64(a.NBt*a.NBn*a.D)
+}
+
+// ZeroFeatureFraction returns the fraction of features with no active
+// bundle at all (52.2% for Model 1 with BSA in Fig. 5), which enables
+// structured pruning of their weights.
+func (a *Activity) ZeroFeatureFraction() float64 {
+	var z int
+	if len(a.Runs) > 0 && a.Runs[0].Active == 0 {
+		z = int(a.Runs[0].Features)
+	}
+	return float64(z) / float64(a.D)
+}
+
+// FeatureActivityHistogram buckets features by their active-bundle count
+// into nBuckets equal ranges over [0, NBt·NBn], returning the fraction of
+// features per bucket — the "ratio of features vs # active bundles"
+// distribution of Fig. 5.
+func (a *Activity) FeatureActivityHistogram(nBuckets int) []float64 {
+	hist := make([]float64, nBuckets)
+	for _, r := range a.Runs {
+		hist[min(int(r.Active)*nBuckets/(a.NBt*a.NBn+1), nBuckets-1)] += float64(r.Features)
+	}
+	for i := range hist {
+		hist[i] /= float64(a.D)
+	}
+	return hist
+}
+
 // RowActivity is n_ab, the number of active bundles across all features, of
 // every bundle row (bt, bn) of one tensor under one shape: the quantity ECP
 // compares against its threshold (§5.1). It is immutable once built.
@@ -92,29 +134,26 @@ type RowActivity struct {
 	PerRow   []int32 // n_ab of row (bt, bn) at bt·NBn+bn
 }
 
-// Kept returns how many bundle rows survive ECP at θ (n_ab ≥ θ) and how
-// many token-time slots they cover.
-func (r *RowActivity) Kept(theta int) (rows, tokens int) {
-	sh := r.Shape
+// Kept returns how many token-time slots survive ECP at θ — the slots of
+// the rows with n_ab ≥ θ — and how many bundle rows of shape sh start in a
+// surviving slot: the attention core's dispatch units when it bundles under
+// sh while ECP pruned under r.Shape. Under r.Shape they are the surviving
+// rows.
+func (r *RowActivity) Kept(theta int, sh Shape) (rows, tokens int) {
 	for bt := 0; bt < r.NBt; bt++ {
-		ht := min((bt+1)*sh.BSt, r.T) - bt*sh.BSt
+		ht := min((bt+1)*r.Shape.BSt, r.T) - bt*r.Shape.BSt
 		for bn, nab := range r.PerRow[bt*r.NBn : (bt+1)*r.NBn] {
 			if int(nab) >= theta {
 				rows++
-				tokens += ht * (min((bn+1)*sh.BSn, r.N) - bn*sh.BSn)
+				tokens += ht * (min((bn+1)*r.Shape.BSn, r.N) - bn*r.Shape.BSn)
 			}
 		}
 	}
-	return rows, tokens
-}
-
-// KeptRowsUnder counts the bundle rows of shape sh whose first token-time
-// slot lies in a row ECP keeps at θ: the attention core's dispatch units
-// when it bundles under sh while ECP pruned under r.Shape. For sh equal to
-// r.Shape it is Kept's row count.
-func (r *RowActivity) KeptRowsUnder(theta int, sh Shape) int {
+	if sh == r.Shape {
+		return rows, tokens
+	}
 	sh.validate()
-	var rows int
+	rows = 0
 	for t := 0; t < r.T; t += sh.BSt {
 		base := t / r.Shape.BSt * r.NBn
 		for n := 0; n < r.N; n += sh.BSn {
@@ -123,7 +162,7 @@ func (r *RowActivity) KeptRowsUnder(theta int, sh Shape) int {
 			}
 		}
 	}
-	return rows
+	return rows, tokens
 }
 
 // Keep expands the rows that survive θ into a T×N token keep-mask.
@@ -141,49 +180,114 @@ func (r *RowActivity) Keep(theta int) [][]bool {
 }
 
 // ActivityBuilder tags tensors and reduces their tags to an Activity or a
-// RowActivity, reusing its tag and counting buffers from one tensor to the
-// next. What it returns owns its memory. It is not safe for concurrent use.
+// RowActivity, reusing its counting buffers from one tensor to the next.
+// What it returns owns its memory. It is not safe for concurrent use.
 type ActivityBuilder struct {
-	tags          Tags
-	feats, spikes []int // per active-bundle count
+	// The last scan's counts: active bundles and spikes per feature column,
+	// and n_ab per bundle row.
+	activePerFeat, spikesPerFeat, activePerRow []int
+	feats, spikes                              []int // per active-bundle count
 }
 
 // Activity tags s under sh and reduces the per-feature counts to runs.
 func (b *ActivityBuilder) Activity(s *spike.Tensor, sh Shape) *Activity {
-	b.tags.Retag(s, sh)
-	return b.reduce(&b.tags)
+	a := b.scan(s, sh)
+	b.reduce(&a)
+	return &a
 }
 
 // Rows tags s under sh and keeps its per-row counts n_ab.
 func (b *ActivityBuilder) Rows(s *spike.Tensor, sh Shape) *RowActivity {
-	b.tags.Retag(s, sh)
-	tg := &b.tags
-	r := &RowActivity{Shape: sh, T: tg.T, N: tg.N, NBt: tg.NBt, NBn: tg.NBn,
-		PerRow: make([]int32, len(tg.activePerRow))}
-	for i, nab := range tg.activePerRow {
+	a := b.scan(s, sh)
+	r := &RowActivity{Shape: sh, T: a.T, N: a.N, NBt: a.NBt, NBn: a.NBn,
+		PerRow: make([]int32, len(b.activePerRow))}
+	for i, nab := range b.activePerRow {
 		r.PerRow[i] = int32(nab)
 	}
 	return r
 }
 
-// reduce counts the features and spikes of every active-bundle count in
-// [0, NBt·NBn] — one pass over the features, no sort — and lists the counts
-// that occur in ascending order.
-func (b *ActivityBuilder) reduce(tg *Tags) *Activity {
-	if tg.spikes > math.MaxUint32 {
-		panic(fmt.Sprintf("bundle: %d spikes overflow the 32-bit counts of an Activity", tg.spikes))
+// scan is the one pass over s under sh. It leaves the per-feature and
+// per-row counts in b's buffers, resized and reused when their capacity
+// suffices, and returns the tensor's Activity without its Runs.
+//
+// The scan is bit-sliced (the carry-save counting of Muła, Kurz & Lemire,
+// "Faster Population Counts Using AVX2 Instructions", 2018, in portable
+// Go). For each bundle row and each 64-feature word, the row's token words
+// are ripple-carry added into vertical counter planes, so plane p holds bit
+// p of all 64 features' bundle tags at once. Each set bit of plane p adds
+// 2^p to its feature's spike count, and the OR of the planes is the word's
+// active mask, whose set bits count the feature's active bundles. The work
+// is one pass over the tensor words plus a few visits per active bundle,
+// instead of one increment per spike.
+func (b *ActivityBuilder) scan(s *spike.Tensor, sh Shape) (a Activity) {
+	sh.validate()
+	nbt := (s.T + sh.BSt - 1) / sh.BSt
+	nbn := (s.N + sh.BSn - 1) / sh.BSn
+	a.Shape, a.T, a.N, a.D, a.NBt, a.NBn = sh, s.T, s.N, s.D, nbt, nbn
+	b.activePerFeat = resizeInts(b.activePerFeat, s.D)
+	b.spikesPerFeat = resizeInts(b.spikesPerFeat, s.D)
+	b.activePerRow = resizeInts(b.activePerRow, nbt*nbn)
+
+	// A bundle holds at most Volume spikes, so Len(Volume) planes count it
+	// without overflow; a carry past the last plane would index out of
+	// range rather than wrap.
+	var planeBuf [bits.UintSize]uint64
+	planes := planeBuf[:bits.Len(uint(sh.Volume()))]
+	words, wpr := s.Words(), s.WordsPerRow()
+	apf, spf := b.activePerFeat, b.spikesPerFeat
+	for bt := 0; bt < nbt; bt++ {
+		t0, t1 := bt*sh.BSt, min((bt+1)*sh.BSt, s.T)
+		for bn := 0; bn < nbn; bn++ {
+			n0, n1 := bn*sh.BSn, min((bn+1)*sh.BSn, s.N)
+			var nab, spikes int
+			for wi := 0; wi < wpr; wi++ {
+				clear(planes)
+				for t := t0; t < t1; t++ {
+					for i := (t*s.N+n0)*wpr + wi; i < (t*s.N+n1)*wpr; i += wpr {
+						for p, c := 0, words[i]; c != 0; p++ {
+							planes[p], c = planes[p]^c, planes[p]&c
+						}
+					}
+				}
+				var active uint64
+				for p, pl := range planes {
+					active |= pl
+					spikes += bits.OnesCount64(pl) << p
+					for m := pl; m != 0; m &= m - 1 {
+						spf[wi<<6+bits.TrailingZeros64(m)] += 1 << p
+					}
+				}
+				nab += bits.OnesCount64(active)
+				for m := active; m != 0; m &= m - 1 {
+					apf[wi<<6+bits.TrailingZeros64(m)]++
+				}
+			}
+			b.activePerRow[bt*nbn+bn] = nab
+			a.ActiveBundles += nab
+			a.Spikes += spikes
+		}
 	}
-	a := &Activity{Shape: tg.Shape, T: tg.T, N: tg.N, D: tg.D, NBt: tg.NBt, NBn: tg.NBn,
-		Spikes: tg.spikes, ActiveBundles: tg.activeBundles}
-	b.feats = resizeInts(b.feats, tg.NBt*tg.NBn+1)
-	b.spikes = resizeInts(b.spikes, tg.NBt*tg.NBn+1)
+	return a
+}
+
+// reduce lists the runs of a, the last tensor scanned: it counts the
+// features and spikes of every active-bundle count in [0, NBt·NBn] — one
+// pass over the features, no sort — and keeps the counts that occur in
+// ascending order.
+func (b *ActivityBuilder) reduce(a *Activity) {
+	if a.Spikes > math.MaxUint32 {
+		panic(fmt.Sprintf("bundle: %d spikes overflow the 32-bit counts of an Activity", a.Spikes))
+	}
+	b.feats = resizeInts(b.feats, a.NBt*a.NBn+1)
+	b.spikes = resizeInts(b.spikes, a.NBt*a.NBn+1)
 	distinct := 0
-	for d, act := range tg.activePerFeat {
+	for d, act := range b.activePerFeat {
 		if b.feats[act] == 0 {
 			distinct++
 		}
 		b.feats[act]++
-		b.spikes[act] += tg.spikesPerFeat[d]
+		b.spikes[act] += b.spikesPerFeat[d]
 	}
 	a.Runs = make(Runs, 0, distinct)
 	for act, f := range b.feats {
@@ -191,5 +295,17 @@ func (b *ActivityBuilder) reduce(tg *Tags) *Activity {
 			a.Runs = append(a.Runs, Run{Active: uint32(act), Features: uint32(f), Spikes: uint32(b.spikes[act])})
 		}
 	}
-	return a
+}
+
+// resizeInts returns dst resized to n zeroed elements, reusing its backing
+// array when the capacity allows.
+func resizeInts(dst []int, n int) []int {
+	if cap(dst) < n {
+		return make([]int, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = 0
+	}
+	return dst
 }

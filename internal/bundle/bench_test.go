@@ -1,7 +1,7 @@
 package bundle
 
-// Microbenchmarks for TTB tagging: Retag into a reused Tags, the
-// simulator's steady state, against Counts, the naive per-(feature,
+// Microbenchmarks for TTB tagging: an ActivityBuilder's scan with reused
+// buffers, the simulator's steady state, against Counts, the naive per-(feature,
 // bundle) CountBlock tag grid. The tensor matches the Model-2 activation
 // tensors the hardware model tags per layer.
 
@@ -32,12 +32,12 @@ func BenchmarkRetag(b *testing.B) {
 	s := benchSpikes()
 	for _, sh := range []Shape{{BSt: 4, BSn: 2}, {BSt: 4, BSn: 4}} {
 		b.Run(fmt.Sprintf("%dx%d", sh.BSt, sh.BSn), func(b *testing.B) {
-			var tg Tags
-			tg.Retag(s, sh)
+			var ab ActivityBuilder
+			ab.scan(s, sh)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tg.Retag(s, sh)
+				ab.scan(s, sh)
 			}
 		})
 	}

@@ -29,9 +29,9 @@ func TestTagCountsMatchBlocks(t *testing.T) {
 	s.Set(1, 1, 1, true)
 	s.Set(3, 5, 2, true)
 	sh := Shape{BSt: 2, BSn: 2}
-	tg := Tag(s, sh)
-	if tg.NBt != 2 || tg.NBn != 3 {
-		t.Fatalf("grid %dx%d", tg.NBt, tg.NBn)
+	a := Tag(s, sh)
+	if a.NBt != 2 || a.NBn != 3 {
+		t.Fatalf("grid %dx%d", a.NBt, a.NBn)
 	}
 	counts := Counts(s, sh) // element (bt·NBn+bn)·D+d
 	if got := counts[(0*3+0)*3+1]; got != 2 {
@@ -40,11 +40,11 @@ func TestTagCountsMatchBlocks(t *testing.T) {
 	if got := counts[(1*3+2)*3+2]; got != 1 {
 		t.Fatalf("bundle (1,2,2)=%d want 1", got)
 	}
-	if tg.ActiveBundles() != 2 {
-		t.Fatalf("active=%d", tg.ActiveBundles())
+	if a.ActiveBundles != 2 {
+		t.Fatalf("active=%d", a.ActiveBundles)
 	}
-	if tg.SpikeCount() != 3 {
-		t.Fatalf("spikes=%d", tg.SpikeCount())
+	if a.Spikes != 3 {
+		t.Fatalf("spikes=%d", a.Spikes)
 	}
 }
 
@@ -55,8 +55,7 @@ func TestTagSpikeConservation(t *testing.T) {
 		T, N, D := 1+rng.Intn(8), 1+rng.Intn(10), 1+rng.Intn(6)
 		s := randomSpikes(seed+1, T, N, D, 0.3)
 		sh := Shape{BSt: 1 + rng.Intn(4), BSn: 1 + rng.Intn(4)}
-		tg := Tag(s, sh)
-		return tg.SpikeCount() == s.Count()
+		return Tag(s, sh).Spikes == s.Count()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -65,8 +64,7 @@ func TestTagSpikeConservation(t *testing.T) {
 
 func TestBundleDensityBounds(t *testing.T) {
 	s := randomSpikes(4, 4, 8, 16, 0.1)
-	tg := Tag(s, DefaultShape)
-	bd := tg.BundleDensity()
+	bd := Tag(s, DefaultShape).BundleDensity()
 	if bd < s.Density() || bd > 1 {
 		// bundle density is always ≥ spike density (a spike activates a
 		// whole bundle) and ≤ 1.
@@ -76,25 +74,22 @@ func TestBundleDensityBounds(t *testing.T) {
 
 func TestActivePerFeatureAndRowConsistency(t *testing.T) {
 	s := randomSpikes(5, 6, 9, 5, 0.2)
-	tg := Tag(s, Shape{BSt: 3, BSn: 2})
-	perF := tg.ActivePerFeature()
-	perR := tg.ActivePerRow()
-	var sumF, sumR int
-	for _, v := range perF {
-		sumF += v
+	sh := Shape{BSt: 3, BSn: 2}
+	a := Tag(s, sh)
+	var b ActivityBuilder
+	features, _, sumF := a.Runs.Totals()
+	var sumR int
+	for _, v := range b.Rows(s, sh).PerRow {
+		sumR += int(v)
 	}
-	for _, v := range perR {
-		sumR += v
-	}
-	if sumF != tg.ActiveBundles() || sumR != tg.ActiveBundles() {
-		t.Fatalf("sums %d %d want %d", sumF, sumR, tg.ActiveBundles())
+	if sumF != a.ActiveBundles || sumR != a.ActiveBundles || features != a.D {
+		t.Fatalf("sums %d %d want %d over %d features, got %d", sumF, sumR, a.ActiveBundles, a.D, features)
 	}
 }
 
 func TestFeatureActivityHistogramSumsToOne(t *testing.T) {
 	s := randomSpikes(6, 8, 8, 32, 0.05)
-	tg := Tag(s, DefaultShape)
-	h := tg.FeatureActivityHistogram(10)
+	h := Tag(s, DefaultShape).FeatureActivityHistogram(10)
 	var sum float64
 	for _, v := range h {
 		sum += v
@@ -107,29 +102,20 @@ func TestFeatureActivityHistogramSumsToOne(t *testing.T) {
 func TestZeroFeatureFraction(t *testing.T) {
 	s := spike.NewTensor(2, 2, 4)
 	s.Set(0, 0, 1, true) // only feature 1 active
-	tg := Tag(s, Shape{BSt: 2, BSn: 2})
-	if got := tg.ZeroFeatureFraction(); got != 0.75 {
+	if got := Tag(s, Shape{BSt: 2, BSn: 2}).ZeroFeatureFraction(); got != 0.75 {
 		t.Fatalf("zero frac %v want 0.75", got)
 	}
 }
 
 func TestStratifyPartitionsFeatures(t *testing.T) {
 	s := randomSpikes(7, 4, 8, 24, 0.15)
-	tg := Tag(s, DefaultShape)
-	res := Stratify(tg, 2)
-	if len(res.Dense)+len(res.Sparse) != 24 {
-		t.Fatalf("partition size %d+%d", len(res.Dense), len(res.Sparse))
+	res := Stratify(Tag(s, DefaultShape), 2)
+	if res.DenseFeatures+res.SparseFeatures != 24 {
+		t.Fatalf("partition size %d+%d", res.DenseFeatures, res.SparseFeatures)
 	}
-	active := tg.ActivePerFeature()
-	for _, d := range res.Dense {
-		if active[d] <= 2 {
-			t.Fatalf("dense feature %d has %d ≤ θ", d, active[d])
-		}
-	}
-	for _, d := range res.Sparse {
-		if active[d] > 2 {
-			t.Fatalf("sparse feature %d has %d > θ", d, active[d])
-		}
+	// Each side holds what routing every feature by its own count gives.
+	if want := refStratify(newRefTags(s, DefaultShape), 2); res != want {
+		t.Fatalf("stratification %+v, per-feature routing gives %+v", res, want)
 	}
 	// Spikes are conserved across the split.
 	if res.DenseSpikes+res.SparseSpikes != s.Count() {
@@ -141,9 +127,8 @@ func TestStratifyDensityOrdering(t *testing.T) {
 	// After stratification the dense partition must be denser than the
 	// sparse partition (Fig. 6b).
 	s := randomSpikes(8, 8, 8, 64, 0.08)
-	tg := Tag(s, DefaultShape)
-	res := Stratify(tg, 3)
-	if len(res.Dense) == 0 || len(res.Sparse) == 0 {
+	res := Stratify(Tag(s, DefaultShape), 3)
+	if res.DenseFeatures == 0 || res.SparseFeatures == 0 {
 		t.Skip("degenerate split for this seed")
 	}
 	if res.DenseDensity() <= res.SparseDensity() {
@@ -153,31 +138,31 @@ func TestStratifyDensityOrdering(t *testing.T) {
 
 func TestStratifyExtremes(t *testing.T) {
 	s := randomSpikes(9, 4, 4, 16, 0.3)
-	tg := Tag(s, DefaultShape)
-	all := Stratify(tg, -1)
-	if len(all.Sparse) != 0 {
-		t.Fatalf("θ=-1 must route everything dense, got %d sparse", len(all.Sparse))
+	a := Tag(s, DefaultShape)
+	all := Stratify(a, -1)
+	if all.SparseFeatures != 0 || all.DenseFeatures != a.D {
+		t.Fatalf("θ=-1 must route everything dense, got %d dense %d sparse", all.DenseFeatures, all.SparseFeatures)
 	}
-	none := Stratify(tg, tg.NBt*tg.NBn)
-	if len(none.Dense) != 0 {
-		t.Fatalf("θ=max must route everything sparse, got %d dense", len(none.Dense))
+	none := Stratify(a, a.NBt*a.NBn)
+	if none.DenseFeatures != 0 || none.SparseFeatures != a.D {
+		t.Fatalf("θ=max must route everything sparse, got %d dense %d sparse", none.DenseFeatures, none.SparseFeatures)
 	}
 }
 
 func TestStratifyForSplitHitsTarget(t *testing.T) {
 	s := randomSpikes(10, 8, 16, 128, 0.1)
-	tg := Tag(s, DefaultShape)
+	a := Tag(s, DefaultShape)
 	for _, target := range []float64{0.25, 0.5, 0.75} {
-		res := StratifyForSplit(tg, target)
+		res := StratifyForSplit(a, target)
 		got := res.DenseFraction()
 		if got < target-0.2 || got > target+0.2 {
 			t.Fatalf("target %v got %v", target, got)
 		}
 	}
-	if StratifyForSplit(tg, 0).DenseFraction() > 0.05 {
+	if StratifyForSplit(a, 0).DenseFraction() > 0.05 {
 		t.Fatal("target 0 should route ~nothing dense")
 	}
-	if StratifyForSplit(tg, 1).DenseFraction() < 0.95 {
+	if StratifyForSplit(a, 1).DenseFraction() < 0.95 {
 		t.Fatal("target 1 should route ~everything dense")
 	}
 }

@@ -1,7 +1,7 @@
 package bundle
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/spike"
 )
@@ -54,8 +54,8 @@ func (c ECPConfig) Prune(q, k *spike.Tensor) (qKeep, kKeep [][]bool, stats ECPSt
 	qr, kr := b.Rows(q, c.Shape), b.Rows(k, c.Shape)
 	stats = ECPStats{QRowsTotal: qr.NBt * qr.NBn, KRowsTotal: kr.NBt * kr.NBn,
 		QTokens: q.T * q.N, KTokens: k.T * k.N}
-	stats.QRowsKept, stats.QTokensKept = qr.Kept(c.ThetaQ)
-	stats.KRowsKept, stats.KTokensKept = kr.Kept(c.ThetaK)
+	stats.QRowsKept, stats.QTokensKept = qr.Kept(c.ThetaQ, c.Shape)
+	stats.KRowsKept, stats.KTokensKept = kr.Kept(c.ThetaK, c.Shape)
 	return qr.Keep(c.ThetaQ), kr.Keep(c.ThetaK), stats
 }
 
@@ -89,13 +89,14 @@ func ThetaForKeepFraction(s *spike.Tensor, sh Shape, keep float64) int {
 	if keep >= 1 {
 		return 0
 	}
-	sorted := Tag(s, sh).ActivePerRow()
-	sort.Ints(sorted)
+	var b ActivityBuilder
+	sorted := b.Rows(s, sh).PerRow
+	slices.Sort(sorted)
 	idx := int((1 - keep) * float64(len(sorted)))
 	if idx >= len(sorted) {
 		idx = len(sorted) - 1
 	}
-	return sorted[idx]
+	return int(sorted[idx])
 }
 
 // MaxScoreOfPruned returns the maximum attention-map entry (Σ_d Q∧K over

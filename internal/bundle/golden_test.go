@@ -45,13 +45,14 @@ func TestGoldenTagChecksum(t *testing.T) {
 	)
 	s := goldenTensor(7, 9, 130, 7*9*130/4, 99)
 	sh := Shape{BSt: 3, BSn: 2}
-	tg := Tag(s, sh)
-	got := intHash(Counts(s, sh), tg.ActivePerFeature(), tg.SpikesPerFeature())
-	rows := intHash(tg.ActivePerRow())
+	var b ActivityBuilder
+	a := b.scan(s, sh)
+	got := intHash(Counts(s, sh), b.activePerFeat, b.spikesPerFeat)
+	rows := intHash(b.activePerRow)
 	if os.Getenv("PRINT_GOLDEN") != "" {
 		t.Logf("goldenCounts = uint64(%#x)", got)
 		t.Logf("goldenRows   = uint64(%#x)", rows)
-		t.Logf("goldenSpikes = %d", tg.SpikeCount())
+		t.Logf("goldenSpikes = %d", a.Spikes)
 		return
 	}
 	if got != goldenCounts {
@@ -60,8 +61,8 @@ func TestGoldenTagChecksum(t *testing.T) {
 	if rows != goldenRows {
 		t.Errorf("row checksum %#x want %#x", rows, goldenRows)
 	}
-	if tg.SpikeCount() != goldenSpikes {
-		t.Errorf("spike count %d want %d", tg.SpikeCount(), goldenSpikes)
+	if a.Spikes != goldenSpikes {
+		t.Errorf("spike count %d want %d", a.Spikes, goldenSpikes)
 	}
 }
 

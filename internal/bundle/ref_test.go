@@ -1,7 +1,7 @@
 package bundle
 
-// Reference implementations of every statistic Retag caches, and the tests
-// that pin the fused bit-sliced scan to them. The references are the
+// Reference implementations of every count an ActivityBuilder's scan
+// leaves, and the tests that pin the fused bit-sliced scan to them. The references are the
 // formulations the scan replaced: the tags come from Counts, one
 // CountBlock per (bundle, feature) pair, and each statistic is its own
 // dense pass over that tag grid.
@@ -83,37 +83,59 @@ func (tg *refTags) ActivePerRow() []int {
 	return out
 }
 
-// checkTags fails t unless tg, as Retag left it for s under sh, matches the
-// reference in its geometry and every cached statistic, and unless the
-// Activity reduced from it lists the reference's per-feature counts as runs.
-func checkTags(t testing.TB, what string, tg *Tags, s *spike.Tensor, sh Shape) {
+// refStratify is Alg. 1 feature by feature: each feature column goes dense
+// when its own active-bundle count exceeds θ, and its spikes and active
+// bundles go with it.
+func refStratify(ref *refTags, theta int) StratifyResult {
+	res := StratifyResult{Theta: theta, BundlesPerFeat: ref.NBt * ref.NBn}
+	spikes := ref.SpikesPerFeature()
+	for d, active := range ref.ActivePerFeature() {
+		if active > theta {
+			res.DenseFeatures++
+			res.DenseSpikes += spikes[d]
+			res.DenseBundles += active
+		} else {
+			res.SparseFeatures++
+			res.SparseSpikes += spikes[d]
+			res.SparseBundles += active
+		}
+	}
+	return res
+}
+
+// checkTags fails t unless b's scan of s under sh matches the reference in
+// its geometry, every per-feature and per-row count and the totals, and
+// unless the Activity reduced from it lists the reference's per-feature
+// counts as runs.
+func checkTags(t testing.TB, what string, b *ActivityBuilder, s *spike.Tensor, sh Shape) {
 	t.Helper()
 	ref := newRefTags(s, sh)
-	if tg.Shape != sh || tg.T != s.T || tg.N != s.N || tg.D != s.D || tg.NBt != ref.NBt || tg.NBn != ref.NBn {
+	a := b.scan(s, sh)
+	if a.Shape != sh || a.T != s.T || a.N != s.N || a.D != s.D || a.NBt != ref.NBt || a.NBn != ref.NBn {
 		t.Fatalf("%s: geometry %+v %dx%dx%d grid %dx%d, want %+v %dx%dx%d grid %dx%d", what,
-			tg.Shape, tg.T, tg.N, tg.D, tg.NBt, tg.NBn, sh, s.T, s.N, s.D, ref.NBt, ref.NBn)
+			a.Shape, a.T, a.N, a.D, a.NBt, a.NBn, sh, s.T, s.N, s.D, ref.NBt, ref.NBn)
 	}
 	vecs := []struct {
 		name      string
 		got, want []int
 	}{
-		{"ActivePerFeature", tg.ActivePerFeature(), ref.ActivePerFeature()},
-		{"SpikesPerFeature", tg.SpikesPerFeature(), ref.SpikesPerFeature()},
-		{"ActivePerRow", tg.ActivePerRow(), ref.ActivePerRow()},
+		{"ActivePerFeature", b.activePerFeat, ref.ActivePerFeature()},
+		{"SpikesPerFeature", b.spikesPerFeat, ref.SpikesPerFeature()},
+		{"ActivePerRow", b.activePerRow, ref.ActivePerRow()},
 	}
 	for _, v := range vecs {
 		if !slices.Equal(v.got, v.want) {
 			t.Fatalf("%s: %s = %v, want %v", what, v.name, v.got, v.want)
 		}
 	}
-	if got, want := tg.ActiveBundles(), ref.ActiveBundles(); got != want {
+	if got, want := a.ActiveBundles, ref.ActiveBundles(); got != want {
 		t.Fatalf("%s: ActiveBundles=%d want %d", what, got, want)
 	}
-	if got, want := tg.SpikeCount(), ref.SpikeCount(); got != want || got != s.Count() {
-		t.Fatalf("%s: SpikeCount=%d want %d (tensor holds %d)", what, got, want, s.Count())
+	if got, want := a.Spikes, ref.SpikeCount(); got != want || got != s.Count() {
+		t.Fatalf("%s: Spikes=%d want %d (tensor holds %d)", what, got, want, s.Count())
 	}
-	var b ActivityBuilder
-	if got, want := []Run(b.reduce(tg).Runs), refRuns(ref.ActivePerFeature(), ref.SpikesPerFeature()); !slices.Equal(got, want) {
+	b.reduce(&a)
+	if got, want := []Run(a.Runs), refRuns(ref.ActivePerFeature(), ref.SpikesPerFeature()); !slices.Equal(got, want) {
 		t.Fatalf("%s: Runs = %v, want %v", what, got, want)
 	}
 }
@@ -141,11 +163,11 @@ func refRuns(active, spikes []int) []Run {
 // TestRetagMatchesReference sweeps the bundle shapes of Fig. 16 and more,
 // feature widths on both sides of the 64-bit word boundary, exact and
 // ragged token grids, and empty, sparse and saturated tensors, all through
-// one reused Tags. Saturation fills every bundle to its volume: 56 spikes
+// one reused ActivityBuilder. Saturation fills every bundle to its volume: 56 spikes
 // at 4x14 and 64 at 8x8, so too few counter planes cannot go unnoticed.
 func TestRetagMatchesReference(t *testing.T) {
 	shapes := []Shape{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 2}, {4, 2}, {4, 4}, {2, 7}, {4, 14}, {8, 8}}
-	var tg Tags
+	var b ActivityBuilder
 	seed := uint64(1)
 	for _, sh := range shapes {
 		grids := [][2]int{{sh.BSt, sh.BSn}, {2*sh.BSt + 1, 2*sh.BSn + 1}, {3 * sh.BSt, sh.BSn + 1}}
@@ -154,18 +176,17 @@ func TestRetagMatchesReference(t *testing.T) {
 				for _, p := range []float64{0, 0.12, 1} {
 					s := randomSpikes(seed, g[0], g[1], d, p)
 					seed++
-					tg.Retag(s, sh)
 					checkTags(t, fmt.Sprintf("shape %dx%d, tensor %dx%dx%d, density %g",
-						sh.BSt, sh.BSn, g[0], g[1], d, p), &tg, s, sh)
+						sh.BSt, sh.BSn, g[0], g[1], d, p), &b, s, sh)
 				}
 			}
 		}
 	}
 }
 
-// TestRetagReuseAcrossSizes retags one Tags from a large tensor to a small
-// one and back, so any buffer Retag failed to resize or clear would leak
-// the previous tensor's statistics.
+// TestRetagReuseAcrossSizes scans with one ActivityBuilder from a large
+// tensor to a small one and back, so any buffer the scan failed to resize
+// or clear would leak the previous tensor's statistics.
 func TestRetagReuseAcrossSizes(t *testing.T) {
 	big := randomSpikes(11, 9, 13, 130, 0.3)
 	small := randomSpikes(12, 2, 3, 5, 0.6)
@@ -180,10 +201,9 @@ func TestRetagReuseAcrossSizes(t *testing.T) {
 		{"small 3x2", small, Shape{3, 2}},
 		{"big 1x1", big, Shape{1, 1}},
 	}
-	var tg Tags
+	var b ActivityBuilder
 	for _, st := range steps {
-		tg.Retag(st.s, st.sh)
-		checkTags(t, st.name, &tg, st.s, st.sh)
+		checkTags(t, st.name, &b, st.s, st.sh)
 	}
 }
 
@@ -195,6 +215,7 @@ func FuzzRetag(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, bst, bsn, tt, nn, dd, density uint8) {
 		sh := Shape{BSt: 1 + int(bst%16), BSn: 1 + int(bsn%16)}
 		s := randomSpikes(seed, 1+int(tt%24), 1+int(nn%24), 1+int(dd)%200, float64(density)/255)
-		checkTags(t, "fuzz", Tag(s, sh), s, sh)
+		var b ActivityBuilder
+		checkTags(t, "fuzz", &b, s, sh)
 	})
 }

@@ -1,66 +1,53 @@
 package bundle
 
 // Property tests for the Alg. 1 stratifier over randomized traces: the
-// dense/sparse feature partition must be disjoint and exhaustive for every
-// threshold, and the §6.5.1 balancing strategy must land the dense-core
-// feature fraction where its quantile math says it will — exactly, once
-// threshold ties and zero-activity columns are accounted for.
+// dense/sparse partition must hold, side by side, what routing every feature
+// by its own active-bundle count gives (so it is disjoint and exhaustive)
+// for every threshold, and the §6.5.1 balancing strategy must land the
+// dense-core feature fraction where its quantile math says it will —
+// exactly, once threshold ties and zero-activity columns are accounted for.
 
 import (
 	"sort"
 	"testing"
 
+	"repro/internal/spike"
 	"repro/internal/tensor"
 )
 
-// randomTrace draws a tensor with randomized geometry and density from rng.
-func randomTrace(rng *tensor.RNG) *Tags {
+// randomTrace draws a tensor with randomized geometry and density, and a
+// bundle shape, from rng.
+func randomTrace(rng *tensor.RNG) (*spike.Tensor, Shape) {
 	T := 1 + rng.Intn(8)
 	N := 1 + rng.Intn(24)
 	D := 8 + rng.Intn(120)
 	p := 0.02 + 0.4*rng.Float64()
 	s := randomSpikes(rng.Uint64(), T, N, D, p)
 	sh := Shape{BSt: 1 + rng.Intn(4), BSn: 1 + rng.Intn(4)}
-	return Tag(s, sh)
+	return s, sh
 }
 
 func TestStratifyPartitionDisjointExhaustiveProperty(t *testing.T) {
 	rng := tensor.NewRNG(2025)
 	for trial := 0; trial < 60; trial++ {
-		tg := randomTrace(rng)
-		theta := rng.Intn(tg.NBt*tg.NBn+2) - 1
-		res := Stratify(tg, theta)
+		s, sh := randomTrace(rng)
+		a := Tag(s, sh)
+		theta := rng.Intn(a.NBt*a.NBn+2) - 1
+		res := Stratify(a, theta)
 
-		seen := make([]int, tg.D) // 0 = missing, 1 = dense, 2 = sparse
-		for _, d := range res.Dense {
-			seen[d]++
+		if want := refStratify(newRefTags(s, sh), theta); res != want {
+			t.Fatalf("trial %d: θ %d: stratification %+v, per-feature routing gives %+v", trial, theta, res, want)
 		}
-		for _, d := range res.Sparse {
-			if seen[d] != 0 {
-				t.Fatalf("trial %d: feature %d in both partitions", trial, d)
-			}
-			seen[d] += 2
+		// Features, spikes and bundles are conserved across the split.
+		if res.DenseFeatures+res.SparseFeatures != a.D {
+			t.Fatalf("trial %d: features %d+%d != %d", trial, res.DenseFeatures, res.SparseFeatures, a.D)
 		}
-		for d, v := range seen {
-			if v == 0 {
-				t.Fatalf("trial %d: feature %d in neither partition", trial, d)
-			}
+		if res.DenseSpikes+res.SparseSpikes != s.Count() {
+			t.Fatalf("trial %d: spikes %d+%d != %d", trial, res.DenseSpikes, res.SparseSpikes, s.Count())
 		}
-		if !sort.IntsAreSorted(res.Dense) || !sort.IntsAreSorted(res.Sparse) {
-			t.Fatalf("trial %d: partitions must be ascending", trial)
-		}
-		// Spike and bundle mass is conserved across the split.
-		spikes := tg.SpikesPerFeature()
-		var total int
-		for _, s := range spikes {
-			total += s
-		}
-		if res.DenseSpikes+res.SparseSpikes != total {
-			t.Fatalf("trial %d: spikes %d+%d != %d", trial, res.DenseSpikes, res.SparseSpikes, total)
-		}
-		if res.DenseBundles+res.SparseBundles != tg.ActiveBundles() {
+		if res.DenseBundles+res.SparseBundles != a.ActiveBundles {
 			t.Fatalf("trial %d: bundles %d+%d != %d", trial,
-				res.DenseBundles, res.SparseBundles, tg.ActiveBundles())
+				res.DenseBundles, res.SparseBundles, a.ActiveBundles)
 		}
 	}
 }
@@ -68,11 +55,15 @@ func TestStratifyPartitionDisjointExhaustiveProperty(t *testing.T) {
 func TestStratifyForSplitFractionProperty(t *testing.T) {
 	rng := tensor.NewRNG(4242)
 	for trial := 0; trial < 60; trial++ {
-		tg := randomTrace(rng)
+		s, sh := randomTrace(rng)
 		target := rng.Float64()
-		res := StratifyForSplit(tg, target)
+		res := StratifyForSplit(Tag(s, sh), target)
 
-		active := tg.ActivePerFeature()
+		ref := newRefTags(s, sh)
+		if want := refStratify(ref, res.Theta); res != want {
+			t.Fatalf("trial %d: θ %d: stratification %+v, per-feature routing gives %+v", trial, res.Theta, res, want)
+		}
+		active := ref.ActivePerFeature()
 		sorted := append([]int(nil), active...)
 		sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
 		k := int(target*float64(len(sorted)) + 0.5)
@@ -91,8 +82,8 @@ func TestStratifyForSplitFractionProperty(t *testing.T) {
 			}
 			expect = count(active, thr)
 		}
-		if len(res.Dense) != expect {
-			t.Fatalf("trial %d: target %.3f dense %d want %d", trial, target, len(res.Dense), expect)
+		if res.DenseFeatures != expect {
+			t.Fatalf("trial %d: target %.3f dense %d want %d", trial, target, res.DenseFeatures, expect)
 		}
 
 		// Tolerance contract: the achieved fraction misses the target by at

@@ -114,12 +114,12 @@ func Fig5(quick bool, seed uint64) *Table {
 		for _, s := range ds.Test[:min(8, len(ds.Test))] {
 			m.Forward(s.X)
 			for _, l := range m.Trace().ByGroup("ATN") {
-				tg := bundle.Tag(l.Q, sh)
-				h := tg.FeatureActivityHistogram(buckets)
+				a := bundle.Tag(l.Q, sh)
+				h := a.FeatureActivityHistogram(buckets)
 				for i := range hist {
 					hist[i] += h[i]
 				}
-				zero += tg.ZeroFeatureFraction()
+				zero += a.ZeroFeatureFraction()
 				density += l.Q.Density()
 				n++
 			}

@@ -153,16 +153,16 @@ func Fig6(seed uint64) *Table {
 	for _, withBSA := range []bool{false, true} {
 		tr := traceFor(1, withBSA, seed)
 		var in = tr.ByGroup("P2")[2].In // a mid-network output projection
-		tg := bundle.Tag(in, sh)
-		res := bundle.StratifyForSplit(tg, 0.5)
+		a := bundle.Tag(in, sh)
+		res := bundle.StratifyForSplit(a, 0.5)
 		label := "w/o BSA"
 		if withBSA {
 			label = "with BSA"
 		}
-		t.AddRow(label+" (whole)", pct(in.Density()), pct(tg.BundleDensity()))
+		t.AddRow(label+" (whole)", pct(in.Density()), pct(a.BundleDensity()))
 		// Partition densities: spikes per partition over partition volume.
-		denseVol := float64(len(res.Dense) * in.T * in.N)
-		sparseVol := float64(len(res.Sparse) * in.T * in.N)
+		denseVol := float64(res.DenseFeatures * in.T * in.N)
+		sparseVol := float64(res.SparseFeatures * in.T * in.N)
 		t.AddRow(label+" (stratified down/dense)", pct(float64(res.DenseSpikes)/denseVol), pct(res.DenseDensity()))
 		t.AddRow(label+" (stratified up/sparse)", pct(float64(res.SparseSpikes)/sparseVol), pct(res.SparseDensity()))
 	}

@@ -150,15 +150,21 @@ func TestLinearStatsConservation(t *testing.T) {
 }
 
 // TestLinearStatsSplitConserves checks each side of a split, not only their
-// sum, against the tags' per-feature spike and active-bundle counts over
-// that side's features: at a fixed θ_s of 0, and at split targets 0, 0.5
-// and 1.
+// sum, against the per-feature spike and active-bundle counts of the
+// bundle tags over the features Alg. 1 routes to that side, each by its
+// own count: at a fixed θ_s of 0, and at split targets 0, 0.5 and 1.
 func TestLinearStatsSplitConserves(t *testing.T) {
 	in := randSpikes(2, 8, 16, 32, 0.15)
 	sh := bundle.Shape{BSt: 4, BSn: 2}
 	st := NewLinearStats(in, 64, sh)
-	tg := bundle.Tag(in, sh)
-	spf, apf := tg.SpikesPerFeature(), tg.ActivePerFeature()
+	a := bundle.Tag(in, sh)
+	spf, apf := make([]int, in.D), make([]int, in.D)
+	for i, c := range bundle.Counts(in, sh) { // tag of bundle i/D, feature i%D
+		spf[i%in.D] += c
+		if c > 0 {
+			apf[i%in.D]++
+		}
+	}
 	check := func(what string, side LinearStats, idx []int) {
 		t.Helper()
 		var spikes, bundles int
@@ -188,15 +194,27 @@ func TestLinearStatsSplitConserves(t *testing.T) {
 		name string
 		res  bundle.StratifyResult
 	}{
-		{"theta 0", bundle.Stratify(tg, 0)},
-		{"target 0", bundle.StratifyForSplit(tg, 0)},
-		{"target 0.5", bundle.StratifyForSplit(tg, 0.5)},
-		{"target 1", bundle.StratifyForSplit(tg, 1)},
+		{"theta 0", bundle.Stratify(a, 0)},
+		{"target 0", bundle.StratifyForSplit(a, 0)},
+		{"target 0.5", bundle.StratifyForSplit(a, 0.5)},
+		{"target 1", bundle.StratifyForSplit(a, 1)},
 	}
 	for _, c := range cases {
+		var dense, sparse []int
+		for f, act := range apf {
+			if act > c.res.Theta {
+				dense = append(dense, f)
+			} else {
+				sparse = append(sparse, f)
+			}
+		}
 		d, s := st.Split(c.res)
-		check(c.name+" dense", d, c.res.Dense)
-		check(c.name+" sparse", s, c.res.Sparse)
+		check(c.name+" dense", d, dense)
+		check(c.name+" sparse", s, sparse)
+		if c.res.DenseFeatures != d.DIn || c.res.DenseSpikes != d.TotalSpikes || c.res.DenseBundles != d.ActiveBundles ||
+			c.res.SparseFeatures != s.DIn || c.res.SparseSpikes != s.TotalSpikes || c.res.SparseBundles != s.ActiveBundles {
+			t.Fatalf("%s: stratification %+v disagrees with the split", c.name, c.res)
+		}
 		if d.TotalSpikes+s.TotalSpikes != st.TotalSpikes || d.DIn+s.DIn != st.DIn {
 			t.Fatalf("%s: split loses spikes or features", c.name)
 		}

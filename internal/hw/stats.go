@@ -55,12 +55,8 @@ func (s LinearStats) SplitAt(theta int) (dense, sparse LinearStats) {
 }
 
 func (s LinearStats) pick(runs bundle.Runs) LinearStats {
-	s.Runs, s.DIn, s.TotalSpikes, s.ActiveBundles = runs, 0, 0, 0
-	for _, r := range runs {
-		s.DIn += int(r.Features)
-		s.TotalSpikes += int(r.Spikes)
-		s.ActiveBundles += int(r.Active) * int(r.Features)
-	}
+	s.Runs = runs
+	s.DIn, s.TotalSpikes, s.ActiveBundles = runs.Totals()
 	return s
 }
 
@@ -144,18 +140,9 @@ func NewAttnStats(l transformer.TraceLayer, sh bundle.Shape) AttnStats {
 // c.Prune returns, for any c.Shape.
 func NewPrunedAttnStats(l transformer.TraceLayer, sh bundle.Shape, c bundle.ECPConfig, q, k *bundle.RowActivity) AttnStats {
 	st := AttnStats{T: l.Q.T, N: l.Q.N, D: l.Q.D, Shape: sh}
-	st.QBundleRows, st.QTokensKept = keptUnder(q, c.ThetaQ, sh)
-	st.KBundleRows, st.KTokensKept = keptUnder(k, c.ThetaK, sh)
+	st.QBundleRows, st.QTokensKept = q.Kept(c.ThetaQ, sh)
+	st.KBundleRows, st.KTokensKept = k.Kept(c.ThetaK, sh)
 	return st
-}
-
-// keptUnder is r.Kept with the rows counted under sh.
-func keptUnder(r *bundle.RowActivity, theta int, sh bundle.Shape) (rows, tokens int) {
-	rows, tokens = r.Kept(theta)
-	if sh != r.Shape {
-		rows = r.KeptRowsUnder(theta, sh)
-	}
-	return rows, tokens
 }
 
 // QKVBits returns the packed size of the surviving Q, K, and V spike data in

@@ -482,6 +482,12 @@ func (r *Reader) ReadTrace() (*transformer.Trace, error) {
 				return nil, fmt.Errorf("%w (layer %q kkeep)", err, li.Name)
 			}
 		}
+		// The format stores each layer's tensors in full, so Wq, Wk and Wv
+		// store their one input three times. Share it again, as the traced
+		// model did, so the statistics memo builds it once.
+		if n := len(tr.Layers); n > 0 && l.In != nil && tr.Layers[n-1].In != nil && l.In.Equal(tr.Layers[n-1].In) {
+			l.In = tr.Layers[n-1].In
+		}
 		tr.Layers = append(tr.Layers, l)
 	}
 

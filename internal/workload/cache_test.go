@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/bundle"
+	"repro/internal/spike"
 	"repro/internal/tracefile"
 	"repro/internal/transformer"
 )
@@ -170,6 +172,47 @@ func TestCachedTraceDiskStore(t *testing.T) {
 	}
 	if h, _, _ := TraceStoreStats(); h != 1 {
 		t.Fatal("healed store entry must load again")
+	}
+}
+
+// TestStoreLoadedTraceSharesLinearInputs: a trace loaded from the store
+// shares one input tensor wherever the generated trace does (Wq, Wk and Wv
+// read one), so its statistics memo builds that input's Activity once.
+func TestStoreLoadedTraceSharesLinearInputs(t *testing.T) {
+	cfg := transformer.ModelZoo()[3]
+	gen := SyntheticTrace(cfg, Scenarios()[4], TraceOptions{}, 3)
+	st := tracefile.Store{Dir: t.TempDir()}
+	if err := st.Save(1, gen); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := st.Load(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := func(tr *transformer.Trace) int {
+		distinct := map[*spike.Tensor]bool{}
+		for _, l := range tr.Layers {
+			if l.Kind == transformer.KindProjection || l.Kind == transformer.KindMLP {
+				distinct[l.In] = true
+			}
+		}
+		return len(distinct)
+	}
+	if g, l := inputs(gen), inputs(loaded); g != l {
+		t.Fatalf("generated trace has %d distinct linear inputs, loaded one %d", g, l)
+	}
+	lin := loaded.Stats(bundle.DefaultShape).Linear()
+	var qkv int
+	for i, l := range loaded.Layers {
+		if strings.HasSuffix(l.Name, ".Wq") {
+			qkv++
+			if lin[i] == nil || lin[i+1] != lin[i] || lin[i+2] != lin[i] {
+				t.Fatalf("%s, %s and %s do not share one Activity", l.Name, loaded.Layers[i+1].Name, loaded.Layers[i+2].Name)
+			}
+		}
+	}
+	if qkv != cfg.Blocks {
+		t.Fatalf("found %d Wq layers in %d blocks", qkv, cfg.Blocks)
 	}
 }
 

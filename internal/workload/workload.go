@@ -34,10 +34,10 @@ type Params struct {
 	RowScale float64 // activity multiplier for the remaining (cold) rows
 }
 
-// clamp clamps the probabilities into [0,1]; NaN stays NaN.
+// clamp clamps the probabilities into [0,1], mapping NaN to 0.
 func (p *Params) clamp() {
 	c := func(v *float64) {
-		if *v < 0 {
+		if !(*v > 0) {
 			*v = 0
 		}
 		if *v > 1 {
@@ -128,16 +128,11 @@ func Generate(rng *tensor.RNG, T, N, D int, p Params) *spike.Tensor {
 			rows[i] = 1
 		}
 	}
-	// A bundle is inactive when its draw u ≥ prob·rowMul, so a NaN
-	// product (clamp keeps NaN) activates every bundle.
+	// A bundle is active when its draw u < prob·rowMul.
 	var active [2][2]uint64
 	for r, mul := range [2]float64{1, p.RowScale} {
 		for tier, pr := range prob {
-			if x := pr * mul; math.IsNaN(x) {
-				active[r][tier] = 1 << 53
-			} else {
-				active[r][tier] = below(x)
-			}
+			active[r][tier] = below(pr * mul)
 		}
 	}
 	in := below(p.InBundle)

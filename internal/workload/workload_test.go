@@ -324,4 +324,11 @@ func TestParamsClamp(t *testing.T) {
 			t.Fatalf("clamp failed: %+v", p)
 		}
 	}
+	// NaN is no probability: it clamps to 0, like a negative value.
+	nan := math.NaN()
+	p = Params{ZeroFrac: nan, HotFrac: nan, HotProb: nan, ColdProb: nan, InBundle: nan, RowHot: nan, RowScale: nan}
+	p.clamp()
+	if (p != Params{}) {
+		t.Fatalf("NaN must clamp to 0: %+v", p)
+	}
 }
